@@ -5,9 +5,12 @@ call, tens of thousands of calls per run — small enough that numpy's
 per-ufunc dispatch overhead (µs) dominates the actual arithmetic (ns).
 No JIT package is assumed; instead this module compiles a ~100-line C
 translation of the loop with the *system* C compiler the first time it
-is needed and loads it through :mod:`ctypes`.  Everything degrades
-gracefully: no compiler, a failed build, or ``REPRO_NO_CKERNEL=1`` all
-fall back to the pure-numpy implementation with identical results.
+is needed and loads it through :mod:`ctypes`.  There is exactly one C
+refill: it runs against a persistent link→flows membership that
+``FlowNetwork`` mirrors into C on every flow attach/detach.  No
+compiler, a failed build, or ``REPRO_NO_CKERNEL=1`` all leave the fabric
+on the pure-numpy reference (``FlowNetwork._refill_reference``) with
+identical results.
 
 Bit-identity contract
 ---------------------
@@ -17,9 +20,9 @@ comparison-based minimum, and one fused ``residual -= rate * count``
 update per crossed link — and is compiled with ``-ffp-contract=off`` so
 no FMA contraction can perturb a rounding.  IEEE-754 doubles make each
 of those operations exactly reproducible across the C and numpy
-implementations, so all three refill paths (C kernel, numpy fallback,
-``REPRO_NO_CACHE=1`` reference) produce byte-identical rates;
-``tests/test_perf_cache.py`` asserts this directly.
+implementations, so the C kernel and the numpy reference (which serves
+both ``REPRO_NO_CKERNEL=1`` and ``REPRO_NO_CACHE=1``) produce
+byte-identical rates; ``tests/test_perf_cache.py`` asserts this directly.
 
 Build artefacts are cached under ``<repo>/build/kernels`` (gitignored),
 keyed by a hash of the source so edits trigger a rebuild; a temp
@@ -66,13 +69,12 @@ static int cap_cmp(const void *pa, const void *pb)
  * refill runs >100k times per large experiment, so per-call malloc/free
  * churn is measurable.  Grown geometrically, never shrunk. */
 static double *g_residual, *g_nflows, *g_share;
-static int64_t *g_cnt, *g_mem_ptr, *g_touched, *g_active, *g_newly;
-static int64_t *g_mem_flat;
+static int64_t *g_cnt, *g_touched, *g_active, *g_newly;
 static char *g_frozen;
 static cap_pair *g_caps;
-static int64_t g_cap_links = -1, g_cap_flows = -1, g_cap_mem = -1;
+static int64_t g_cap_links = -1, g_cap_flows = -1;
 
-static int ensure_scratch(int64_t nF, int64_t nL, int64_t n_mem)
+static int ensure_scratch(int64_t nF, int64_t nL)
 {
     if (nL >= g_cap_links) {
         int64_t cap = 2 * nL + 64;
@@ -80,17 +82,15 @@ static int ensure_scratch(int64_t nF, int64_t nL, int64_t n_mem)
         double *n = realloc(g_nflows, (size_t)cap * sizeof(double));
         double *s = realloc(g_share, (size_t)cap * sizeof(double));
         int64_t *c = realloc(g_cnt, (size_t)cap * sizeof(int64_t));
-        int64_t *m = realloc(g_mem_ptr, (size_t)(cap + 1) * sizeof(int64_t));
         int64_t *t = realloc(g_touched, (size_t)cap * sizeof(int64_t));
         int64_t *a = realloc(g_active, (size_t)cap * sizeof(int64_t));
         if (r) g_residual = r;
         if (n) g_nflows = n;
         if (s) g_share = s;
         if (c) g_cnt = c;
-        if (m) g_mem_ptr = m;
         if (t) g_touched = t;
         if (a) g_active = a;
-        if (!r || !n || !s || !c || !m || !t || !a)
+        if (!r || !n || !s || !c || !t || !a)
             return -1;
         g_cap_links = cap;
     }
@@ -106,180 +106,22 @@ static int ensure_scratch(int64_t nF, int64_t nL, int64_t n_mem)
             return -1;
         g_cap_flows = cap;
     }
-    if (n_mem >= g_cap_mem) {
-        int64_t cap = 2 * n_mem + 64;
-        int64_t *f = realloc(g_mem_flat, (size_t)cap * sizeof(int64_t));
-        if (!f)
-            return -1;
-        g_mem_flat = f;
-        g_cap_mem = cap;
-    }
-    return 0;
-}
-
-/* Max-min progressive filling with tie-collapsed freeze rounds.
- *
- * mat:       nF x R flow->link incidence, row-major int64; entries equal
- *            to nL are padding and ignored.
- * caps:      per-link capacity, length nL.
- * flow_caps: per-flow max rate, length nF (consulted only when
- *            have_caps, i.e. some flow carries a finite cap).
- * rates:     output, length nF.
- *
- * The freeze loop iterates only the *active* links (those crossed by at
- * least one flow) and memoises per-link shares across rounds: a share
- * changes only when its link is crossed by a freeze, so each round is a
- * compare-only minimum scan plus one division per crossed link.  The
- * divisions performed are the same `residual / nflows` the per-round
- * full rescan would perform (identical operands), keeping the result
- * bit-identical to the numpy reference.
- *
- * Returns 0 on success, -1 on allocation failure, -2 if an uncapped
- * flow has no route links (caller falls back to the Python path, which
- * raises the assertion with context).
- */
-static int do_refill(int64_t nF, int64_t nL, int64_t R,
-                     const int64_t *mat, const double *caps,
-                     const double *flow_caps, int have_caps,
-                     double *rates)
-{
-    if (nF == 0)
-        return 0;
-    if (ensure_scratch(nF, nL, nF * R) != 0)
-        return -1;
-    double *residual = g_residual, *nflows = g_nflows, *share = g_share;
-    int64_t *cnt = g_cnt, *mem_ptr = g_mem_ptr, *touched = g_touched;
-    int64_t *active = g_active, *newly = g_newly, *mem_flat = g_mem_flat;
-    char *frozen = g_frozen;
-    cap_pair *cap_sorted = g_caps;
-    int64_t n_cap = 0;
-
-    memset(frozen, 0, (size_t)nF);
-    memset(mem_ptr, 0, (size_t)(nL + 1) * sizeof(int64_t));
-    if (have_caps) {
-        for (int64_t f = 0; f < nF; f++)
-            if (isfinite(flow_caps[f])) {
-                cap_sorted[n_cap].v = flow_caps[f];
-                cap_sorted[n_cap].slot = f;
-                n_cap++;
-            }
-        qsort(cap_sorted, (size_t)n_cap, sizeof(cap_pair), cap_cmp);
-    }
-
-    /* per-link flow counts, the active-link list, and link->flows CSR */
-    for (int64_t f = 0; f < nF; f++)
-        for (int64_t r = 0; r < R; r++) {
-            int64_t l = mat[f * R + r];
-            if (l < nL)
-                mem_ptr[l + 1]++;
-        }
-    int64_t n_active = 0;
-    for (int64_t l = 0; l < nL; l++) {
-        int64_t c = mem_ptr[l + 1];
-        if (c > 0) {
-            active[n_active++] = l;
-            residual[l] = caps[l];
-            nflows[l] = (double)c;
-            cnt[l] = 0;
-        }
-        mem_ptr[l + 1] = c + mem_ptr[l];
-    }
-    /* fill via cursors; cnt doubles as the cursor array here and is
-     * reset in the same pass that seeds the share memo below */
-    for (int64_t f = 0; f < nF; f++)
-        for (int64_t r = 0; r < R; r++) {
-            int64_t l = mat[f * R + r];
-            if (l < nL)
-                mem_flat[mem_ptr[l] + cnt[l]++] = f;
-        }
-    for (int64_t a = 0; a < n_active; a++) {
-        int64_t l = active[a];
-        cnt[l] = 0;
-        share[l] = residual[l] / nflows[l];
-    }
-
-    int64_t left = nF, cap_ptr = 0;
-    while (left > 0) {
-        double best = INFINITY;
-        for (int64_t a = 0; a < n_active; a++) {
-            double s = share[active[a]];
-            if (s < best)
-                best = s;
-        }
-        while (cap_ptr < n_cap && frozen[cap_sorted[cap_ptr].slot])
-            cap_ptr++;
-        double min_cap = cap_ptr < n_cap ? cap_sorted[cap_ptr].v : INFINITY;
-        double rate;
-        int64_t n_new = 0;
-        if (min_cap < best) {
-            rate = min_cap;
-            for (int64_t j = cap_ptr; j < n_cap && cap_sorted[j].v == rate;
-                 j++) {
-                int64_t f = cap_sorted[j].slot;
-                if (!frozen[f]) {
-                    frozen[f] = 1;
-                    newly[n_new++] = f;
-                }
-            }
-        } else {
-            if (!(best < INFINITY))
-                return -2; /* uncapped flow with no route links */
-            rate = best;
-            for (int64_t a = 0; a < n_active; a++) {
-                int64_t l = active[a];
-                if (share[l] != best)
-                    continue;
-                for (int64_t i = mem_ptr[l]; i < mem_ptr[l + 1]; i++) {
-                    int64_t f = mem_flat[i];
-                    if (!frozen[f]) {
-                        frozen[f] = 1;
-                        newly[n_new++] = f;
-                    }
-                }
-            }
-        }
-        int64_t n_touch = 0;
-        for (int64_t i = 0; i < n_new; i++) {
-            int64_t f = newly[i];
-            rates[f] = rate;
-            for (int64_t r = 0; r < R; r++) {
-                int64_t l = mat[f * R + r];
-                if (l < nL) {
-                    if (cnt[l]++ == 0)
-                        touched[n_touch++] = l;
-                }
-            }
-        }
-        /* one rate*count subtraction per link, exactly as the numpy
-         * reference's `residual -= rate * bincount(...)`, then refresh
-         * the share memo for exactly the links that changed */
-        for (int64_t t = 0; t < n_touch; t++) {
-            int64_t l = touched[t];
-            residual[l] -= rate * (double)cnt[l];
-            nflows[l] -= (double)cnt[l];
-            cnt[l] = 0;
-            share[l] = nflows[l] > 0.0 ? residual[l] / nflows[l] : INFINITY;
-        }
-        left -= n_new;
-    }
     return 0;
 }
 
 /* ------------------------------------------------------------------
  * Persistent fabric state: the link->flows membership maintained
- * incrementally across calls instead of rebuilt from the pad-filled
- * route matrix on every refill.  Python mirrors its slot bookkeeping
+ * incrementally across calls.  Python mirrors its slot bookkeeping
  * (append on attach, swap-remove on detach) into this structure; the
- * state-aware refill then reads per-link member lists and per-slot
- * route rows directly.  Any desync-shaped error drops the state on the
- * Python side and falls back to the matrix-scan kernels, so the state
- * is purely an accelerator, never a correctness dependency.
+ * refill then reads per-link member lists and per-slot route rows
+ * directly.  A desync-shaped error (-3) is a bug on the Python side and
+ * is raised there, never papered over.
  *
  * Member-list order is immaterial: the freeze *set* of a round is
  * "every unfrozen member of every minimum-share link", per-link
  * decrement counts are integers, and rate assignment is per-flow — so
- * the float sequence matches do_refill exactly and traces stay
- * byte-identical.
+ * the float sequence matches the numpy reference exactly and traces
+ * stay byte-identical.
  */
 
 typedef struct { int64_t slot, ri; } mem_ent;
@@ -443,8 +285,25 @@ int repro_state_detach(void *p, int64_t slot)
     return 0;
 }
 
-/* do_refill against the persistent membership: identical float sequence,
- * no per-call CSR rebuild.  -3 = state desynced (caller drops it). */
+/* Max-min progressive filling with tie-collapsed freeze rounds.
+ *
+ * caps:      per-link capacity, length nL.
+ * flow_caps: per-flow max rate, length nF (consulted only when
+ *            have_caps, i.e. some flow carries a finite cap).
+ * rates:     output, length nF.
+ *
+ * The freeze loop iterates only the *active* links (those crossed by at
+ * least one flow) and memoises per-link shares across rounds: a share
+ * changes only when its link is crossed by a freeze, so each round is a
+ * compare-only minimum scan plus one division per crossed link.  The
+ * divisions performed are the same `residual / nflows` the per-round
+ * full rescan would perform (identical operands), keeping the result
+ * bit-identical to the numpy reference.
+ *
+ * Returns 0 on success, -1 on allocation failure, -2 if an uncapped
+ * flow has no route links (caller falls back to the Python path, which
+ * raises the assertion with context), -3 if the state is desynced.
+ */
 static int do_refill_state(fab_state *st, int64_t nF, int64_t nL,
                            const double *caps, const double *flow_caps,
                            int have_caps, double *rates)
@@ -453,7 +312,7 @@ static int do_refill_state(fab_state *st, int64_t nF, int64_t nL,
         return 0;
     if (!st || st->n != nF || st->nL > nL)
         return -3;
-    if (ensure_scratch(nF, nL, 0) != 0)
+    if (ensure_scratch(nF, nL) != 0)
         return -1;
     double *residual = g_residual, *nflows = g_nflows, *share = g_share;
     int64_t *cnt = g_cnt, *touched = g_touched;
@@ -526,6 +385,10 @@ static int do_refill_state(fab_state *st, int64_t nF, int64_t nL,
                 }
             }
         }
+        /* a minimum-share link with no unfrozen member: its nflows
+         * disagrees with its member list, and looping on would never end */
+        if (n_new == 0)
+            return -3;
         int64_t n_touch = 0;
         for (int64_t i = 0; i < n_new; i++) {
             int64_t f = newly[i];
@@ -538,6 +401,9 @@ static int do_refill_state(fab_state *st, int64_t nF, int64_t nL,
                     touched[n_touch++] = l;
             }
         }
+        /* one rate*count subtraction per link, exactly as the numpy
+         * reference's `residual -= rate * bincount(...)`, then refresh
+         * the share memo for exactly the links that changed */
         for (int64_t t = 0; t < n_touch; t++) {
             int64_t l = touched[t];
             residual[l] -= rate * (double)cnt[l];
@@ -566,63 +432,14 @@ static double do_horizon(int64_t nF, const double *rem, const double *rates)
     return any ? best : -1.0;
 }
 
-int repro_refill(int64_t nF, int64_t nL, int64_t R,
-                 const int64_t *mat, const double *caps,
-                 const double *flow_caps, int have_caps, double *rates)
-{
-    return do_refill(nF, nL, R, mat, caps, flow_caps, have_caps, rates);
-}
-
-/* refill + horizon, for the tick path that resumes after Python-side
- * completion callbacks */
-int repro_refill_horizon(int64_t nF, int64_t nL, int64_t R,
-                         const int64_t *mat, const double *caps,
-                         const double *flow_caps, int have_caps,
-                         const double *rem, double *rates,
-                         double *horizon_out)
-{
-    int rc = do_refill(nF, nL, R, mat, caps, flow_caps, have_caps, rates);
-    if (rc == 0)
-        *horizon_out = do_horizon(nF, rem, rates);
-    return rc;
-}
-
 /* The fused tick fast path: settle progress over dt, detect drained
  * flows, and — only when none drained, so no Python callbacks need to
  * run — refill rates and compute the next-completion horizon.
  *
  * Returns n_drained >= 0 (drained slot ids in ascending order in
- * drained_out; rates untouched when > 0), or a negative do_refill
+ * drained_out; rates untouched when > 0), or a negative do_refill_state
  * error code.  *horizon_out is meaningful only when the return is 0.
  */
-int repro_tick(int64_t nF, int64_t nL, int64_t R,
-               const int64_t *mat, const double *caps,
-               const double *flow_caps, int have_caps,
-               double dt, double eps,
-               double *rem, double *rates,
-               int64_t *drained_out, double *horizon_out)
-{
-    int64_t n_drained = 0;
-    if (dt > 0.0)
-        for (int64_t f = 0; f < nF; f++) {
-            double v = rem[f] - rates[f] * dt;
-            rem[f] = v > 0.0 ? v : 0.0;
-        }
-    for (int64_t f = 0; f < nF; f++)
-        if (rem[f] <= eps)
-            drained_out[n_drained++] = f;
-    if (n_drained > 0)
-        return (int)n_drained;
-    int rc = do_refill(nF, nL, R, mat, caps, flow_caps, have_caps, rates);
-    if (rc != 0)
-        return rc;
-    *horizon_out = do_horizon(nF, rem, rates);
-    return 0;
-}
-
-/* State-aware twins of repro_tick / repro_refill_horizon: same settle,
- * drain-detect and horizon, with the refill served from the persistent
- * membership instead of a matrix scan. */
 int repro_tick_state(void *st, int64_t nF, int64_t nL,
                      const double *caps, const double *flow_caps,
                      int have_caps, double dt, double eps,
@@ -647,6 +464,9 @@ int repro_tick_state(void *st, int64_t nF, int64_t nL,
     return 0;
 }
 
+/* refill + horizon: the tick path that resumes after Python-side
+ * completion callbacks, and the cancel/reroute flush (which ignores the
+ * horizon) */
 int repro_refill_horizon_state(void *st, int64_t nF, int64_t nL,
                                const double *caps, const double *flow_caps,
                                int have_caps, const double *rem,
@@ -743,16 +563,6 @@ class FabricKernels:
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         i64, f64, vp = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-        head = [i64, i64, i64, vp, vp, vp, ctypes.c_int]
-        self.refill = lib.repro_refill
-        self.refill.argtypes = head + [vp]
-        self.refill.restype = ctypes.c_int
-        self.refill_horizon = lib.repro_refill_horizon
-        self.refill_horizon.argtypes = head + [vp, vp, vp]
-        self.refill_horizon.restype = ctypes.c_int
-        self.tick = lib.repro_tick
-        self.tick.argtypes = head + [f64, f64, vp, vp, vp, vp]
-        self.tick.restype = ctypes.c_int
         self.gather_min = lib.repro_gather_min
         self.gather_min.argtypes = [i64, i64, vp, vp, vp]
         self.gather_min.restype = ctypes.c_int

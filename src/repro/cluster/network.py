@@ -72,12 +72,12 @@ __all__ = ["Flow", "FlowNetwork"]
 CACHE_DEPS = {
     "FlowNetwork._refill": {
         "inputs": (
-            "FlowNetwork._mat",
+            "FlowNetwork._routes",
             "FlowNetwork._caps",
             "FlowNetwork._finite_caps",
         ),
         "reference": "_refill_reference",
-        "maintainers": ("_attach", "_detach", "start_flow", "_register_route"),
+        "maintainers": ("_attach", "_detach", "start_flow"),
     },
 }
 
@@ -251,30 +251,22 @@ class FlowNetwork:
         self._rates = np.zeros(cap0)
         self._caps = np.zeros(cap0)
         self._route_lens = np.zeros(cap0, dtype=np.int64)
-        # flow→link incidence for the fast refill: a pad-filled
-        # (slot, link) route matrix.  The pad id equals len(_caps_arr) at
-        # all times; registering a new link rewrites live pad entries.
-        # The C kernels derive the link→flow CSR from it per call.
-        self._matW = 4
-        self._mat = np.zeros((cap0, self._matW), dtype=np.int64)
         self._drained_buf = np.zeros(cap0, dtype=np.int64)
         self._horizon_buf = np.zeros(1)
         self._kern_ptrs: Optional[tuple] = None  # cached C-kernel args
-        # persistent C-side link->flows membership, mirrored from
-        # _attach/_detach; None = unavailable or dropped after a desync
+        # the compiled-kernel handle (process-global and stable) and this
+        # fabric's persistent C-side link->flows membership, mirrored from
+        # _attach/_detach.  Both stay None under REPRO_NO_CACHE, without a
+        # compiler, or when the state cannot be allocated: every `self._kern
+        # is not None` site then runs the numpy reference instead.
+        self._kern = None
         self._cstate: Optional[int] = None
-        self._cstate_fin = None
-        # the compiled-kernel handle, resolved once (process-global and
-        # stable); None under REPRO_NO_CACHE so every `self._kern is not
-        # None` site implies the cached fast path is allowed
-        self._kern = None if self._no_cache else _accel.refill_kernel()
-        if self._kern is not None:
-            ptr = self._kern.state_new()
+        kern = None if self._no_cache else _accel.refill_kernel()
+        if kern is not None:
+            ptr = kern.state_new()
             if ptr:
-                self._cstate = ptr
-                self._cstate_fin = weakref.finalize(
-                    self, self._kern.state_free, ptr
-                )
+                self._kern, self._cstate = kern, ptr
+                weakref.finalize(self, kern.state_free, ptr)
         self._finite_caps = 0  # attached flows with a finite max_rate
         self._refill_deferred = False
         self._last_settle = sim.now
@@ -368,11 +360,6 @@ class FlowNetwork:
                 self._caps_arr = np.append(
                     self._caps_arr, self.effective_capacity(link)
                 )
-                # live rows padded with the old pad id (== lid) now collide
-                # with the freshly registered link — repoint them
-                if self._flows:
-                    live = self._mat[: len(self._flows)]
-                    live[live == lid] = lid + 1
             ids[i] = lid
         self.epoch += 1
         return ids
@@ -393,15 +380,8 @@ class FlowNetwork:
             return False
         self._settle_all()
         if self._refill_deferred:
-            # flush a same-instant deferred refill so the remaining-byte
-            # snapshot below integrates a fresh rate (mirrors cancel_flow)
-            self._refill_deferred = False
-            prof = _obs_profile.ACTIVE
-            if prof is None:
-                self._refill()
-            else:
-                with prof.scope("network.refill"):
-                    self._refill()
+            # the remaining-byte snapshot below must integrate a fresh rate
+            self._flush_refill()
         remaining = float(self._rem[flow._slot])
         self._detach(flow)
         flow.route = route
@@ -425,15 +405,8 @@ class FlowNetwork:
         if flow._slot != _NO_SLOT:
             self._settle_all()
             if self._refill_deferred:
-                # a same-instant tick deferred its refill; flush it so the
-                # final rate frozen into the detached flow is the fresh one
-                self._refill_deferred = False
-                prof = _obs_profile.ACTIVE
-                if prof is None:
-                    self._refill()
-                else:
-                    with prof.scope("network.refill"):
-                        self._refill()
+                # the final rate frozen into the detached flow must be fresh
+                self._flush_refill()
             self._detach(flow)
             self._mark_dirty()
 
@@ -472,15 +445,15 @@ class FlowNetwork:
         n = len(self._flows)
         n_links = len(self._caps_arr)
         # one pass: per-link sum of member rates via a weighted bincount
-        # over the flow→link incidence (pad ids collect into an extra bin)
+        # over the flow→link incidence, summed in slot order
         if n:
             used = np.bincount(
-                self._mat[:n].ravel(),
-                weights=np.repeat(self._rates[:n], self._matW),
-                minlength=n_links + 1,
+                np.concatenate(self._routes),
+                weights=np.repeat(self._rates[:n], self._route_lens[:n]),
+                minlength=n_links,
             )
         else:
-            used = np.zeros(n_links + 1)
+            used = np.zeros(n_links)
         out: List[float] = []
         for link in self.topology.links():
             lid = self._link_ids.get(link)
@@ -701,14 +674,15 @@ class FlowNetwork:
             kern = self._kern
             if kern is not None:
                 # C row-wise gather+min: skips the (k, k, depth) gathered
-                # intermediate; bit-identical (min over NaN-free doubles)
+                # intermediate; bit-identical (min over NaN-free doubles).
+                # Its only failure, depth <= 0, cannot happen: the tensor
+                # is built with max_len >= 1.
+                assert depth >= 1
                 r = np.empty((k, k), dtype=np.float64)
-                rc = kern.gather_min(
+                kern.gather_min(
                     k * k, depth, tensor.ctypes.data,
                     share.ctypes.data, r.ctypes.data,
                 )
-                if rc != 0:  # pragma: no cover - depth >= 1 by construction
-                    r = share[tensor].min(axis=2)
             else:
                 r = share[tensor].min(axis=2)
             np.fill_diagonal(r, self.local_bandwidth)
@@ -771,18 +745,13 @@ class FlowNetwork:
     # ------------------------------------------------------------------
     # slot management
     # ------------------------------------------------------------------
-    def _drop_cstate(self) -> None:
-        """Abandon the persistent C membership (desync or alloc failure).
-
-        The matrix-scan kernels take over seamlessly; dropping is one-way
-        because the state can only be rebuilt from a known-empty fabric.
-        """
-        if self._cstate is not None:
-            self._cstate = None
-            fin = self._cstate_fin
-            self._cstate_fin = None
-            if fin is not None:
-                fin()
+    def _cstate_error(self, op: str, rc: int) -> RuntimeError:
+        """The C membership mirror failed: a bug, never papered over."""
+        return RuntimeError(
+            f"C fabric state {op} failed with rc={rc} (-1 allocation "
+            f"failure, -3 mirror out of sync) at {len(self._flows)} live "
+            "fabric flows"
+        )
 
     def _attach(self, flow: Flow) -> None:
         slot = len(self._flows)
@@ -793,44 +762,32 @@ class FlowNetwork:
             self._route_lens = np.concatenate(
                 [self._route_lens, np.zeros(slot, dtype=np.int64)]
             )
-            self._mat = np.concatenate(
-                [self._mat, np.full_like(self._mat, len(self._caps_arr))]
-            )
             self._drained_buf = np.zeros(2 * slot, dtype=np.int64)
         ids = flow.route_ids
-        if len(ids) > self._matW:  # a longer route than any seen: widen
-            wider = np.full(
-                (len(self._mat), len(ids)), len(self._caps_arr), dtype=np.int64
-            )
-            wider[:, : self._matW] = self._mat
-            self._mat, self._matW = wider, len(ids)
         self._flows.append(flow)
         self._routes.append(ids)
         self._rem[slot] = flow.size
         self._rates[slot] = 0.0
         self._caps[slot] = flow.max_rate
         self._route_lens[slot] = len(ids)
-        row = self._mat[slot]
-        row[: len(ids)] = ids
-        row[len(ids):] = len(self._caps_arr)  # re-pad a recycled slot's tail
         if math.isfinite(flow.max_rate):
             self._finite_caps += 1
         flow._slot = slot
-        if self._cstate is not None:
+        if self._kern is not None:
             rc = self._kern.state_attach(
                 self._cstate, slot, ids.ctypes.data, len(ids)
             )
-            if rc != 0:  # pragma: no cover - allocation failure only
-                self._drop_cstate()
+            if rc != 0:
+                raise self._cstate_error("attach", rc)
 
     def _detach(self, flow: Flow) -> None:
         """Swap-remove the flow's slot; must be settled first."""
         slot = flow._slot
         assert slot != _NO_SLOT
-        if self._cstate is not None:
+        if self._kern is not None:
             rc = self._kern.state_detach(self._cstate, slot)
-            if rc != 0:  # pragma: no cover - implies a desynced mirror
-                self._drop_cstate()
+            if rc != 0:
+                raise self._cstate_error("detach", rc)
         # freeze the flow's final view into its own fields
         flow._remaining = float(self._rem[slot])
         flow._rate = float(self._rates[slot])
@@ -847,7 +804,6 @@ class FlowNetwork:
             self._rates[slot] = self._rates[last]
             self._caps[slot] = self._caps[last]
             self._route_lens[slot] = self._route_lens[last]
-            self._mat[slot] = self._mat[last]
             moved._slot = slot
         self._flows.pop()
         self._routes.pop()
@@ -924,51 +880,26 @@ class FlowNetwork:
         n = len(self._flows)
         if kern is not None and n:
             args = self._kernel_args()
-            if args is not None:
-                now = self.sim.now
-                have = 1 if self._finite_caps else 0
-                if self._cstate is not None:
-                    rc = kern.tick_state(
-                        self._cstate, n, len(self._caps_arr),
-                        args[1], args[2], have,
-                        now - self._last_settle, _EPS_BYTES,
-                        args[3], args[4], args[5], args[6],
-                    )
-                    self._last_settle = now
-                    if rc == -3:  # pragma: no cover - desynced mirror
-                        # the call already settled rem; retry the matrix
-                        # kernel over a zero-width interval
-                        self._drop_cstate()
-                        rc = kern.tick(
-                            n, len(self._caps_arr), self._matW,
-                            args[0], args[1], args[2], have,
-                            0.0, _EPS_BYTES,
-                            args[3], args[4], args[5], args[6],
-                        )
-                else:
-                    rc = kern.tick(
-                        n, len(self._caps_arr), self._matW,
-                        args[0], args[1], args[2], have,
-                        now - self._last_settle, _EPS_BYTES,
-                        args[3], args[4], args[5], args[6],
-                    )
-                    self._last_settle = now
-                if rc == 0:
-                    # nothing drained: rates are fresh, horizon computed
-                    self._refill_deferred = False
-                    return self._schedule_next(
-                        horizon=float(self._horizon_buf[0])
-                    )
-                if rc > 0:
-                    drained_slots = self._drained_buf[:rc]
-                else:  # kernel bailed; re-derive on the Python path
-                    self._settle_all()
-                    drained_slots = np.nonzero(
-                        self._rem[:n] <= _EPS_BYTES
-                    )[0]
-            else:  # pragma: no cover - arrays stay contiguous
-                self._settle_all()
-                drained_slots = np.nonzero(self._rem[:n] <= _EPS_BYTES)[0]
+            now = self.sim.now
+            rc = kern.tick_state(
+                self._cstate, n, len(self._caps_arr), args[0], args[1],
+                1 if self._finite_caps else 0,
+                now - self._last_settle, _EPS_BYTES,
+                args[2], args[3], args[4], args[5],
+            )
+            self._last_settle = now
+            if rc == 0:
+                # nothing drained: rates are fresh, horizon computed
+                self._refill_deferred = False
+                return self._schedule_next(
+                    horizon=float(self._horizon_buf[0])
+                )
+            if rc == -3:
+                raise self._cstate_error("tick", rc)
+            # rc > 0 slots drained; a negative rc is a refill that bailed
+            # before anything drained, and the refill below falls back to
+            # the reference, which raises its assertion with context
+            drained_slots = self._drained_buf[: max(rc, 0)]
         else:
             self._settle_all()
             drained_slots = np.nonzero(self._rem[:n] <= _EPS_BYTES)[0]
@@ -997,42 +928,21 @@ class FlowNetwork:
         ):
             self._refill_deferred = True
             return
+        self._schedule_next(horizon=self._flush_refill())
+
+    def _flush_refill(self) -> Optional[float]:
+        """Clear any refill deferral and run :meth:`_refill` now.
+
+        Every refill outside the fused C tick runs through here, so this
+        is the one place the ``network.refill`` profiler scope opens.
+        Returns the horizon :meth:`_refill` reports.
+        """
         self._refill_deferred = False
-        if kern is not None:
-            n = len(self._flows)
-            if n == 0:
-                return
-            args = self._kernel_args()
-            if args is not None:
-                have = 1 if self._finite_caps else 0
-                if self._cstate is not None:
-                    rc = kern.refill_horizon_state(
-                        self._cstate, n, len(self._caps_arr),
-                        args[1], args[2], have,
-                        args[3], args[4], args[6],
-                    )
-                    if rc == -3:  # pragma: no cover - desynced mirror
-                        self._drop_cstate()
-                        rc = -3
-                else:
-                    rc = -3
-                if rc == -3:
-                    rc = kern.refill_horizon(
-                        n, len(self._caps_arr), self._matW,
-                        args[0], args[1], args[2], have,
-                        args[3], args[4], args[6],
-                    )
-                if rc == 0:
-                    return self._schedule_next(
-                        horizon=float(self._horizon_buf[0])
-                    )
         prof = _obs_profile.ACTIVE
         if prof is None:
-            self._refill()
-        else:
-            with prof.scope("network.refill"):
-                self._refill()
-        self._schedule_next()
+            return self._refill()
+        with prof.scope("network.refill"):
+            return self._refill()
 
     def _schedule_next(self, horizon: Optional[float] = None) -> None:
         """One event at the earliest predicted completion among all flows.
@@ -1071,41 +981,35 @@ class FlowNetwork:
             ev.cancel()
         self._tick_event = self.sim.schedule(horizon, self._tick)
 
-    def _kernel_args(self) -> Optional[tuple]:
+    def _kernel_args(self) -> tuple:
         """Raw data pointers for the C kernels, cached on array identity.
 
         ctypes ``data_as()`` conversions cost more than the kernels
         themselves at the fabric's call rates, and the hot arrays only
-        change object identity when they grow — so the pointer tuple is
-        rebuilt only on an identity miss.  Returns ``(mat_p, caps_p,
-        fcaps_p, rem_p, rates_p, drained_p, horizon_p)`` or None when an
-        array is unexpectedly non-contiguous.
+        change object identity when they grow (the slot arrays all grow
+        together in :meth:`_attach`) — so the pointer tuple is rebuilt
+        only on an identity miss.  Returns ``(caps_p, fcaps_p, rem_p,
+        rates_p, drained_p, horizon_p)``.
         """
         ptrs = self._kern_ptrs
         if (
             ptrs is not None
-            and ptrs[0] is self._mat
-            and ptrs[1] is self._caps_arr
-            and ptrs[2] is self._rem
+            and ptrs[0] is self._caps_arr
+            and ptrs[1] is self._rem
         ):
-            return ptrs[3]
-        mat, caps_arr = self._mat, self._caps_arr
-        if not (mat.flags.c_contiguous and caps_arr.flags.c_contiguous):
-            self._kern_ptrs = None  # pragma: no cover - arrays stay contiguous
-            return None
+            return ptrs[2]
         args = (
-            mat.ctypes.data,
-            caps_arr.ctypes.data,
+            self._caps_arr.ctypes.data,
             self._caps.ctypes.data,
             self._rem.ctypes.data,
             self._rates.ctypes.data,
             self._drained_buf.ctypes.data,
             self._horizon_buf.ctypes.data,
         )
-        self._kern_ptrs = (mat, caps_arr, self._rem, args)
+        self._kern_ptrs = (self._caps_arr, self._rem, args)
         return args
 
-    def _refill(self) -> None:
+    def _refill(self) -> Optional[float]:
         """Recompute max-min fair rates for all fabric flows.
 
         Progressive filling with per-flow rate caps and *tie-collapsed*
@@ -1119,49 +1023,53 @@ class FlowNetwork:
         level*, and each frozen flow's links are updated with a single
         multiply-subtract rather than one scalar update per (flow, link).
 
-        The fast implementation is a C kernel compiled on demand from
-        :mod:`repro.accel` (the default whenever a system compiler is
-        present; disable with ``REPRO_NO_CKERNEL=1``).  It performs the
-        same floating-point operations on the same operand sets as
-        :meth:`_refill_reference` (the ``REPRO_NO_CACHE=1`` escape hatch
-        and compiler-less fallback): the freeze *set* is determined by
-        link identity alone, per-link decrement counts are order-free
-        integers, the ``residual - rate * count`` update uses identical
-        operands, and the kernel is built with ``-ffp-contract=off`` so
-        no FMA contraction can perturb a rounding — so the two paths are
-        bit-identical.  ``tests/test_perf_cache.py`` holds them to
-        byte-identical traces.
+        There are exactly two implementations.  The fast one is the C
+        kernel from :mod:`repro.accel` (the default whenever a system
+        compiler is present; disable with ``REPRO_NO_CKERNEL=1``), which
+        reads the link→flows membership this network mirrors into C on
+        every attach/detach.  The other is :meth:`_refill_reference`,
+        which serves ``REPRO_NO_CACHE=1``, ``REPRO_NO_CKERNEL=1`` and
+        hosts without a compiler.  Both perform the same floating-point
+        operations on the same operand sets: the freeze *set* is
+        determined by link identity alone, per-link decrement counts are
+        order-free integers, the ``residual - rate * count`` update uses
+        identical operands, and the kernel is built with
+        ``-ffp-contract=off`` so no FMA contraction can perturb a
+        rounding — so the two are bit-identical.
+        ``tests/test_perf_cache.py`` holds them to byte-identical traces.
+
+        Returns the kernel's next-completion horizon (see
+        :meth:`_schedule_next`), or None when the reference ran.  A
+        mirror out of sync with the slot table raises; an uncapped flow
+        without route links falls through to the reference, which raises
+        its assertion with context.
         """
         kern = self._kern
-        if kern is not None:
-            nF = len(self._flows)
-            if nF == 0:
-                return
+        n = len(self._flows)
+        if kern is not None and n:
             args = self._kernel_args()
-            if args is not None:
-                rc = kern.refill(
-                    nF, len(self._caps_arr), self._matW,
-                    args[0], args[1], args[2],
-                    1 if self._finite_caps else 0,
-                    args[4],
-                )
-                if rc == 0:
-                    return
-                # fall through: the reference re-derives everything
-                # and raises the relevant assertion with context
-        return self._refill_reference()
+            rc = kern.refill_horizon_state(
+                self._cstate, n, len(self._caps_arr), args[0], args[1],
+                1 if self._finite_caps else 0, args[2], args[3], args[5],
+            )
+            if rc == 0:
+                return float(self._horizon_buf[0])
+            if rc == -3:
+                raise self._cstate_error("refill", rc)
+        self._refill_reference()
+        return None
 
     def _refill_reference(self) -> None:
-        """The pure-numpy refill: ``REPRO_NO_CACHE`` path and C fallback.
+        """The pure-numpy refill, the A/B reference for :meth:`_refill`.
 
         Builds the flow→link and link→flow CSR structures up front and
         gathers candidates and frozen flows' links through them, running
         the same tie-collapsed progressive filling as the C kernel behind
         :meth:`_refill`: identical share divisions, identical freeze sets
         (all unfrozen members of every minimum-share link), and identical
-        fused ``rate * count`` capacity updates.  The A/B reference for
-        :meth:`_refill`, and the implementation of record when no C
-        compiler is available.
+        fused ``rate * count`` capacity updates.  It is the implementation
+        of record under ``REPRO_NO_CACHE=1`` and ``REPRO_NO_CKERNEL=1``
+        and when no C compiler is available.
         """
         nF = len(self._flows)
         if nF == 0:

@@ -45,13 +45,14 @@ def _ratio(c_ave: ArrayLike, cost: ArrayLike) -> np.ndarray:
     ratio is also treated as +inf, i.e. accept.  Where ``cost`` is +inf
     (the node cannot reach the task's data across a partitioned fabric)
     the ratio is 0 — placing there is never accepted — even when ``c_ave``
-    is +inf too, which would otherwise yield NaN.
+    is +inf too, which would otherwise yield NaN.  A positive ``cost`` so
+    small that the quotient overflows also yields +inf: the same accept.
     """
     c_ave = np.asarray(c_ave, dtype=np.float64)
     cost = np.asarray(cost, dtype=np.float64)
     if np.any(cost < 0) or np.any(c_ave < 0):
         raise ValueError("transmission costs must be non-negative")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = np.where(cost > 0, c_ave / np.where(cost > 0, cost, 1.0), np.inf)
     if np.any(np.isinf(cost)):
         r = np.where(np.isinf(cost), 0.0, r)

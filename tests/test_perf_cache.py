@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro import ClusterSpec, EngineConfig, Simulation, table2_batch
+from repro import ClusterSpec, EngineConfig, Simulation, accel, table2_batch
 from repro.cluster.network import FlowNetwork
 from repro.cluster.topology import rack_topology
 from repro.core import PNAConfig, ProbabilisticNetworkAwareScheduler
@@ -55,18 +55,29 @@ def run_traced(tmp_path, tag, *, netcond, churn):
     return trace.read_bytes(), result
 
 
-@pytest.mark.parametrize("variant", ["hop", "netcond", "netcond_churn"])
+@pytest.mark.parametrize(
+    "variant", ["hop", "netcond", "netcond_churn", "netcond_churn_no_ckernel"]
+)
 def test_same_seed_trace_identical_with_and_without_caches(
     tmp_path, monkeypatch, variant
 ):
     netcond = variant != "hop"
-    churn = variant == "netcond_churn"
+    churn = "churn" in variant
 
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    monkeypatch.delenv("REPRO_NO_CKERNEL", raising=False)
     cached_bytes, cached_result = run_traced(
         tmp_path, "cached", netcond=netcond, churn=churn
     )
-    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    if variant.endswith("no_ckernel"):
+        # the compiler-less path: caches on, numpy refill.  The kernel
+        # handle is resolved once per process, so forget it for this run.
+        monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
+        monkeypatch.setattr(accel, "_loaded", None)
+        monkeypatch.setattr(accel, "_load_attempted", False)
+        assert accel.refill_kernel() is None
+    else:
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
     naive_bytes, _ = run_traced(tmp_path, "naive", netcond=netcond, churn=churn)
 
     assert cached_bytes, "trace was empty — nothing was compared"

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.core import ExponentialModel, HyperbolicModel, LinearModel
+from repro.core.probability import _ratio
 
 ALL_MODELS = [ExponentialModel(), HyperbolicModel(), LinearModel()]
 
@@ -61,6 +64,16 @@ class TestSharedContract:
             assert vec[i] == pytest.approx(
                 float(model.probability(float(c_ave[i]), float(cost[i])))
             )
+
+
+def test_ratio_overflow_is_silent_accept():
+    # a tiny positive cost overflows c_ave / cost to +inf: the intended
+    # "accept" value, reached without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _ratio(1e300, 1e-300) == np.inf
+        for model in ALL_MODELS:
+            assert model.probability(1e300, 1e-300) == 1.0
 
 
 class TestExponential:
