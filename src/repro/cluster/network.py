@@ -620,11 +620,13 @@ class FlowNetwork:
         network-condition-aware variant feeds ``1 / R`` in place of the hop
         matrix (Section II-B-3).
 
-        The matrix is computed as one vectorised gather+min over a padded
-        ``(k, k, max_route)`` link-index tensor precomputed from the static
-        topology, and cached keyed on :attr:`epoch` — so the two offers of a
-        heartbeat (and every heartbeat while no flow changed) share one
-        matrix.  The returned array is read-only; copy before mutating.
+        The matrix is computed as one vectorised gather+min over the padded
+        ``(k, k, max_route)`` link-index tensor of
+        :meth:`Topology.route_tensor`, built lazily on the first miss of
+        each routing-table version (``route_version``), and cached keyed on
+        :attr:`epoch` — so the two offers of a heartbeat (and every
+        heartbeat while no flow changed) share one matrix.  The returned
+        array is read-only; copy before mutating.
         Values are bit-identical to the per-pair :meth:`path_rate` walk
         (same shares, and ``min`` over the same float set is exact), which
         remains the reference path under ``REPRO_NO_CACHE=1``.
@@ -641,7 +643,7 @@ class FlowNetwork:
         try:
             route_version = getattr(self.topology, "route_version", 0)
             if self._rm_static is None or self._rm_route_version != route_version:
-                self._rm_static = self._build_rate_matrix_static()
+                self._rm_static = self.topology.route_tensor()
                 self._rm_route_version = route_version
                 self._rm_sid = None
             tensor, links = self._rm_static
@@ -704,43 +706,6 @@ class FlowNetwork:
             for b in range(a + 1, k):
                 r[a, b] = r[b, a] = self.path_rate(hosts[a], hosts[b])
         return r
-
-    def _build_rate_matrix_static(self) -> tuple:
-        """Precompute the per-pair route link-id tensor from the topology.
-
-        Routes are static between routing-table versions (degradation only
-        rescales capacities; link-state fabrics bump ``route_version`` when
-        the control plane converges), so this runs once per routing table.
-        Uses route(a, b) for a < b
-        mirrored into (b, a), matching the reference loop exactly even if a
-        topology's routes were asymmetric.  Link ids here are private to the
-        tensor (ordered by first traversal), independent of the
-        ``_link_ids`` registry whose order the max-min refill depends on.
-        """
-        hosts = self.topology.hosts
-        k = len(hosts)
-        sid: Dict[LinkKey, int] = {}
-        links: List[LinkKey] = []
-        routes = {}
-        max_len = 1
-        for a in range(k):
-            for b in range(a + 1, k):
-                route = self.topology.route(hosts[a], hosts[b])
-                ids = []
-                for link in route:
-                    s = sid.get(link)
-                    if s is None:
-                        s = sid[link] = len(links)
-                        links.append(link)
-                    ids.append(s)
-                routes[(a, b)] = ids
-                max_len = max(max_len, len(ids))
-        pad = len(links)
-        tensor = np.full((k, k, max_len), pad, dtype=np.int64)
-        for (a, b), ids in routes.items():
-            tensor[a, b, : len(ids)] = ids
-            tensor[b, a, : len(ids)] = ids
-        return tensor, links
 
     # ------------------------------------------------------------------
     # slot management

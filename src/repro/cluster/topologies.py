@@ -8,7 +8,8 @@ This module adds the fabric the robustness story needs:
   among them per flow.  Three routing policies:
 
   - ``static`` — delegate to the base class (single nominal shortest path).
-    Byte-identical to a plain :class:`GraphTopology` on the same graph.
+    Byte-identical to a plain :class:`GraphTopology` on the same graph,
+    including its one-BFS-per-host ``route_tensor()``.
   - ``ecmp`` — deterministic hash of the flow id over the *nominal*
     equal-cost set.  Spreads load but never reacts to failures.
   - ``linkstate`` — ECMP over the *live* equal-cost set.  The routing table
@@ -17,6 +18,11 @@ This module adds the fabric the robustness story needs:
     after its convergence delay, which bumps the version and invalidates
     both the fabric's own path caches and the epoch-keyed ``rate_matrix()``
     tensors downstream.
+
+  Under ``ecmp``/``linkstate`` ``route_tensor()`` is the per-pair
+  :meth:`~repro.cluster.topology.Topology.route_tensor` loop, because
+  :meth:`FabricTopology.route` reads the live graph and records the
+  partitioned sentinel for every pair it answers.
 
 * :func:`clos_topology` — the k-ary fat-tree as a multi-rooted Clos fabric
   with a configurable oversubscription factor (1.0 = full bisection).
@@ -38,12 +44,14 @@ import zlib
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.units import Gbps
 
 from repro.cluster.topology import (
     GraphTopology,
     LinkKey,
+    Topology,
     _canon,
     fat_tree_graph,
 )
@@ -186,6 +194,12 @@ class FabricTopology(GraphTopology):
             return stale if stale is not None else super().route(src, dst)
         self._advertised[(src, dst)] = paths[0]
         return paths[0]
+
+    def route_tensor(self) -> Tuple[np.ndarray, List[LinkKey]]:
+        """BFS tensor under ``static``; the per-pair reference otherwise."""
+        if self.routing == "static":
+            return super().route_tensor()
+        return Topology.route_tensor(self)
 
     def route_for_flow(self, src: str, dst: str, fid: int) -> List[LinkKey]:
         if self.routing == "static" or src == dst:

@@ -7,7 +7,9 @@ transmission rate (Section II-B-3).  This module supplies both:
 
 * :class:`GraphTopology` — a switch/host graph (networkx) with per-link
   capacities.  Hop counts come from shortest paths; routes are cached and fed
-  to the flow-level network simulator.
+  to the flow-level network simulator.  A graph whose hosts are not all
+  connected is rejected by :meth:`~GraphTopology.hop_matrix`.  The route
+  tensor behind ``FlowNetwork.rate_matrix`` comes from one BFS per host.
 * :class:`MatrixTopology` — a topology specified directly by a hop matrix,
   as in the paper's 4-node worked example (Figure 2).  Paths are modelled as
   dedicated pipes whose capacity decays with distance.
@@ -84,6 +86,44 @@ class Topology:
     def links(self) -> Iterable[LinkKey]:
         raise NotImplementedError
 
+    def route_tensor(self) -> Tuple[np.ndarray, List[LinkKey]]:
+        """Per-pair route link ids, for the vectorised ``rate_matrix``.
+
+        Returns ``(tensor, links)``: ``tensor[a, b]`` lists the ids (indices
+        into ``links``) of the links on the route between hosts ``a`` and
+        ``b``, padded with the id ``len(links)``; the diagonal is all
+        padding.  Link order within a row is unspecified.
+
+        This is the reference: :meth:`route` for each pair ``a < b``,
+        mirrored into ``(b, a)``, which matches the per-pair ``path_rate``
+        walk exactly even if a topology's routes were asymmetric.  Link
+        ids are ordered by first traversal.
+        """
+        hosts = self.hosts
+        k = len(hosts)
+        sid: Dict[LinkKey, int] = {}
+        links: List[LinkKey] = []
+        routes = {}
+        max_len = 1
+        for a in range(k):
+            for b in range(a + 1, k):
+                route = self.route(hosts[a], hosts[b])
+                ids = []
+                for link in route:
+                    s = sid.get(link)
+                    if s is None:
+                        s = sid[link] = len(links)
+                        links.append(link)
+                    ids.append(s)
+                routes[(a, b)] = ids
+                max_len = max(max_len, len(ids))
+        pad = len(links)
+        tensor = np.full((k, k, max_len), pad, dtype=np.int64)
+        for (a, b), ids in routes.items():
+            tensor[a, b, : len(ids)] = ids
+            tensor[b, a, : len(ids)] = ids
+        return tensor, links
+
     @property
     def num_hosts(self) -> int:
         return len(self.hosts)
@@ -126,8 +166,14 @@ class GraphTopology(Topology):
             # one BFS per host over the switch fabric
             for a, src in enumerate(self.hosts):
                 lengths = nx.single_source_shortest_path_length(self.graph, src)
-                for b, dst in enumerate(self.hosts):
-                    hops[a, b] = lengths[dst]
+                try:
+                    for b, dst in enumerate(self.hosts):
+                        hops[a, b] = lengths[dst]
+                except KeyError:
+                    raise ValueError(
+                        f"topology graph is disconnected: host {dst!r} "
+                        f"is unreachable from host {src!r}"
+                    ) from None
             self._hops = hops
         return self._hops
 
@@ -150,6 +196,73 @@ class GraphTopology(Topology):
 
     def links(self) -> Iterable[LinkKey]:
         return (_canon(u, v) for u, v in self.graph.edges())
+
+    def route_tensor(self) -> Tuple[np.ndarray, List[LinkKey]]:
+        """Route link ids from one BFS per host, not one search per pair.
+
+        Link ids index the graph's canonical edges.  Each host's BFS records
+        every vertex's parent node and parent link plus its shortest-path
+        count capped at 2.  A pair joined by exactly one shortest path has
+        the route any shortest-path search returns, so its row is read off
+        the parent arrays: one gather per hop over all ``k × k`` pairs at
+        once.  Only pairs with several shortest paths ask :meth:`route`,
+        which keeps the tie-break.
+        """
+        # raises on unreachable hosts, so every walk below ends at its source
+        depth = max(1, int(self.hop_matrix().max()))
+        graph = self.graph
+        nodes = list(graph)
+        index = {v: i for i, v in enumerate(nodes)}
+        links = list(self.links())
+        lid = {link: i for i, link in enumerate(links)}
+        pad = len(links)
+        adj = [
+            [(index[v], lid[_canon(u, v)]) for v in graph[u]] for u in nodes
+        ]
+        hosts = self.hosts
+        k = len(hosts)
+        n = len(nodes)
+        starts = [index[h] for h in hosts]
+        parent = np.empty((k, n), dtype=np.int64)
+        parent_link = np.empty((k, n), dtype=np.int64)
+        npaths = np.empty((k, n), dtype=np.int8)
+        for a, s in enumerate(starts):
+            dist = [-1] * n
+            count = [0] * n
+            par = list(range(n))
+            plink = [pad] * n
+            dist[s] = 0
+            count[s] = 1
+            queue = [s]
+            for u in queue:
+                du = dist[u] + 1
+                cu = count[u]
+                for v, e in adj[u]:
+                    dv = dist[v]
+                    if dv < 0:
+                        dist[v] = du
+                        count[v] = cu
+                        par[v] = u
+                        plink[v] = e
+                        queue.append(v)
+                    elif dv == du:
+                        count[v] = 2  # both counts are >= 1: capped sum
+            parent[a] = par
+            parent_link[a] = plink
+            npaths[a] = count
+        tensor = np.empty((k, k, depth), dtype=np.int64)
+        rows = np.arange(k)[:, None]
+        cur = np.broadcast_to(np.asarray(starts, dtype=np.int64), (k, k))
+        # walking past the source stays there on the padding link
+        for hop in range(depth):
+            tensor[:, :, hop] = parent_link[rows, cur]
+            cur = parent[rows, cur]
+        for a, b in zip(*np.nonzero(np.triu(npaths[:, starts] != 1, 1))):
+            ids = [lid[link] for link in self.route(hosts[a], hosts[b])]
+            tensor[a, b] = pad
+            tensor[a, b, : len(ids)] = ids
+            tensor[b, a] = tensor[a, b]
+        return tensor, links
 
 
 class MatrixTopology(Topology):

@@ -100,11 +100,18 @@ def make_net(racks=2, per_rack=3):
 
 
 class TestRateMatrixCache:
-    def test_matches_uncached_under_live_flows(self):
-        sim, net = make_net()
-        net.start_flow("r0n0", "r1n0", 1 * Gbps)
-        net.start_flow("r0n1", "r1n1", 1 * Gbps)
-        net.start_flow("r0n0", "r0n2", 1 * Gbps)
+    def test_matches_uncached_under_live_flows(self, family_topology):
+        topo = family_topology
+        net = FlowNetwork(Simulator(), topo, local_bandwidth=400 * MB)
+        for link in getattr(topo, "down_links", ()):
+            net.set_link_down(link)
+        rng = np.random.default_rng(7)
+        hosts = topo.hosts
+        for _ in range(12):
+            src, dst = rng.choice(len(hosts), size=2, replace=False)
+            net.start_flow(hosts[src], hosts[dst], 1 * Gbps)
+        links = list(topo.links())
+        net.set_capacity_factor(links[int(rng.integers(len(links)))], 0.5)
         assert np.array_equal(net.rate_matrix(), net._rate_matrix_uncached())
 
     def test_cache_hit_returns_same_object(self):

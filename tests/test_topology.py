@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import itertools
+
+import networkx as nx
 import numpy as np
 import pytest
 
+from repro.cluster import Cluster
+from repro.cluster.network import FlowNetwork
 from repro.cluster.topology import (
     GraphTopology,
     MatrixTopology,
+    Topology,
     fat_tree_topology,
     paper_example_topology,
     rack_topology,
     star_topology,
 )
+from repro.sim import Simulator
 from repro.units import Gbps
 
 
@@ -207,3 +214,66 @@ class TestGraphValidation:
         g.add_node("s", kind="switch")
         with pytest.raises(ValueError):
             GraphTopology(g)
+
+    def test_disconnected_hosts_rejected_up_front(self):
+        g = nx.Graph()
+        g.add_node("s0", kind="switch")
+        g.add_node("s1", kind="switch")
+        for host, switch in (("a", "s0"), ("b", "s0"), ("c", "s1")):
+            g.add_node(host, kind="host", rack=switch)
+            g.add_edge(host, switch, capacity=1 * Gbps)
+        topo = GraphTopology(g)
+        with pytest.raises(ValueError, match="host 'c' is unreachable from host 'a'"):
+            Cluster(Simulator(), topo)
+
+
+def _route_link_sets(tensor, links):
+    """``{(a, b): set of links}`` from a ``route_tensor()`` result."""
+    k = tensor.shape[0]
+    pad = len(links)
+    return {
+        (a, b): {links[i] for i in tensor[a, b] if i != pad}
+        for a in range(k)
+        for b in range(k)
+    }
+
+
+class TestRouteTensor:
+    def test_matches_reference_per_pair_loop(self, family_topology):
+        topo = family_topology
+        fast = topo.route_tensor()
+        reference = Topology.route_tensor(topo)
+        assert fast[0].shape[:2] == (topo.num_hosts, topo.num_hosts)
+        assert _route_link_sets(*fast) == _route_link_sets(*reference)
+
+    @staticmethod
+    def _count_route_calls(monkeypatch):
+        calls = []
+        route = GraphTopology.route
+
+        def counting(self, src, dst):
+            calls.append((src, dst))
+            return route(self, src, dst)
+
+        monkeypatch.setattr(GraphTopology, "route", counting)
+        return calls
+
+    def test_tree_build_makes_no_route_search(self, monkeypatch):
+        topo = rack_topology(10, 40)
+        net = FlowNetwork(Simulator(), topo)
+        calls = self._count_route_calls(monkeypatch)
+        net.rate_matrix()
+        assert calls == []
+
+    def test_only_multipath_pairs_search(self, monkeypatch):
+        topo = fat_tree_topology(4)
+        multipath = sum(
+            1
+            for a, b in itertools.combinations(topo.hosts, 2)
+            if len(list(nx.all_shortest_paths(topo.graph, a, b))) >= 2
+        )
+        assert 0 < multipath < topo.num_hosts * (topo.num_hosts - 1) // 2
+        net = FlowNetwork(Simulator(), topo)
+        calls = self._count_route_calls(monkeypatch)
+        net.rate_matrix()
+        assert len(calls) == multipath
