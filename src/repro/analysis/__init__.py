@@ -1,25 +1,33 @@
-"""Analysis helpers: ECDFs, reductions, text tables and ASCII plots."""
+"""Analysis helpers: ECDFs, reductions, text tables and ASCII plots.
 
-from repro.analysis.cdf import (
-    ecdf,
-    ecdf_at,
-    fraction_above,
-    quantile,
-    reduction_percent,
-)
-from repro.analysis.render import ascii_cdf, format_cdf_points, format_table
-from repro.analysis.stats import (
-    BootstrapCI,
-    paired_bootstrap_ci,
-    paired_permutation_test,
-    seed_sweep,
-)
-from repro.analysis.theory import (
-    AcceptanceStats,
-    acceptance_stats,
-    feasible_pmin,
-    tradeoff_curve,
-)
+Every name loads on first use: :mod:`~repro.analysis.theory` pulls in the
+scheduler layer, and a simulation run imports none of this package.
+"""
+
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".cdf": (
+        "ecdf",
+        "ecdf_at",
+        "fraction_above",
+        "quantile",
+        "reduction_percent",
+    ),
+    ".render": ("ascii_cdf", "format_cdf_points", "format_table"),
+    ".stats": (
+        "BootstrapCI",
+        "paired_bootstrap_ci",
+        "paired_permutation_test",
+        "seed_sweep",
+    ),
+    ".theory": (
+        "AcceptanceStats",
+        "acceptance_stats",
+        "feasible_pmin",
+        "tradeoff_curve",
+    ),
+})
 
 __all__ = [
     "AcceptanceStats",

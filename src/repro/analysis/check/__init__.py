@@ -1,6 +1,6 @@
 """``repro check`` — whole-program static analysis for the simulator.
 
-Three passes over a project-wide symbol table and attribute-flow index
+Four passes over a project-wide symbol table and attribute-flow index
 (:mod:`~repro.analysis.check.project`):
 
 * **cache-coherence** (:mod:`~repro.analysis.check.coherence`): every write
@@ -12,7 +12,9 @@ Three passes over a project-wide symbol table and attribute-flow index
   substream — no ambient entropy, constant self-seeds or duplicate streams;
 * **closed vocabularies** (:mod:`~repro.analysis.check.vocab`): decline
   reasons, journal kinds and trace-event tags are checked both ways —
-  unknown members at use-sites and unused members at definition sites.
+  unknown members at use-sites and unused members at definition sites;
+* **import layers** (:mod:`~repro.analysis.check.layers`): no module-level
+  import of a higher layer of the declared layer order.
 
 Findings ship as text, JSON or SARIF and ratchet against a committed
 baseline (:mod:`~repro.analysis.check.baseline`).  The static declarations

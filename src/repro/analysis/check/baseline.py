@@ -34,6 +34,7 @@ _VERSION = 1
 
 
 def fingerprint_counts(findings: Sequence[Finding]) -> Dict[str, int]:
+    """How many times each finding fingerprint occurs."""
     return dict(Counter(f.fingerprint() for f in findings))
 
 
@@ -51,6 +52,7 @@ def load_baseline(path: Path) -> Dict[str, int]:
 
 
 def write_baseline(path: Path, findings: Sequence[Finding]) -> None:
+    """Record ``findings`` as the baseline at ``path`` (sorted JSON)."""
     counts = fingerprint_counts(findings)
     payload = {
         "version": _VERSION,

@@ -49,6 +49,11 @@ RULES = {
     # closed-vocabulary pass
     "vocab-unknown": "string used at a vocabulary site is not a declared member",
     "vocab-unused": "declared vocabulary member is never used anywhere",
+    # import-layer pass
+    "import-layer": (
+        "module-level import of a higher layer, or a module in no "
+        "declared layer"
+    ),
     # infrastructure
     "parse-error": "file does not parse",
     "unknown-waiver": "suppression marker names a rule that does not exist",

@@ -1,6 +1,6 @@
 """Project loader: parse every module once, index symbols and writes.
 
-:class:`Project` is the shared substrate of the three ``repro check``
+:class:`Project` is the shared substrate of the four ``repro check``
 passes.  It parses each source file into an :class:`ast.Module`, builds a
 symbol table (modules, classes by name, functions by qualified name), links
 the class inheritance graph, and indexes every *attribute write* in the

@@ -25,6 +25,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.analysis.check import baseline as baseline_mod
 from repro.analysis.check.coherence import check_coherence
 from repro.analysis.check.findings import Finding, RULES
+from repro.analysis.check.layers import check_import_layers
 from repro.analysis.check.project import Project, _iter_python_files
 from repro.analysis.check.provenance import check_provenance
 from repro.analysis.check.report import FORMATS, format_json, format_sarif, format_text
@@ -159,7 +160,7 @@ def check_sources(
 ) -> List[Finding]:
     """Analyze in-memory sources: ``(display_path, scope_path, source)`` each.
 
-    Runs all three whole-program passes over one shared :class:`Project`,
+    Runs all four whole-program passes over one shared :class:`Project`,
     applies ``# repro: lint-ok[rule]`` waivers and the select/ignore
     filters, and returns sorted findings (baseline is the caller's concern).
     """
@@ -175,6 +176,7 @@ def check_sources(
     findings.extend(check_coherence(project))
     findings.extend(check_provenance(project))
     findings.extend(check_vocab(project))
+    findings.extend(check_import_layers(project))
 
     trees = {m.path: m.tree for m in project.modules.values()}
     waivers: Dict[str, Dict[int, FrozenSet[str]]] = {}
@@ -214,6 +216,7 @@ def check_paths(
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """``repro check`` command line; returns the exit status (0/1/2)."""
     parser = argparse.ArgumentParser(
         prog="repro check",
         description=__doc__,

@@ -41,14 +41,12 @@ from repro.hdfs.namenode import NameNode
 from repro.hdfs.placement import PlacementPolicy
 from repro.hdfs.replication import ReplicationMonitor
 from repro.metrics.collector import MetricsCollector
-from repro.obs.export import write_metrics_jsonl
 from repro.obs.instruments import MetricsRegistry
 from repro.obs.plane import MetricsPlane
 from repro.schedulers.base import TaskScheduler
 from repro.schedulers.joblevel import JobLevelScheduler
 from repro.sim import SimulationError, Simulator
 from repro.trace.events import RunStart
-from repro.trace.export import events_to_jsonl
 from repro.trace.recorder import NullRecorder, TraceRecorder
 from repro.units import fmt_bytes
 from repro.workload.spec import JobSpec
@@ -435,12 +433,16 @@ class Simulation:
             self.tracker.invariants.check_durability(self.replication)
         net = self.cluster.network
         if self.recorder.enabled and self.config.trace_jsonl:
+            from repro.trace.export import events_to_jsonl
+
             events_to_jsonl(
                 self.recorder.events, self.config.trace_jsonl, append=True
             )
         if self.metrics is not None:
             self.metrics.finalize()
             if self.config.metrics.jsonl:
+                from repro.obs.export import write_metrics_jsonl
+
                 write_metrics_jsonl(
                     self.metrics.registry,
                     self.config.metrics.jsonl,

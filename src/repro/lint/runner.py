@@ -149,6 +149,7 @@ def lint_paths(
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """``repro lint`` command line; returns the exit status (0/1/2)."""
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description=__doc__,

@@ -1,22 +1,24 @@
 """Task- and job-level schedulers: interface, baselines, reference points.
 
-The paper's :class:`ProbabilisticNetworkAwareScheduler` is also exported
-here (lazily — it lives in :mod:`repro.core`, which imports this package,
-so an eager import would be circular).
+Every name loads on first use (PEP 562), so a run imports only the
+schedulers it uses.  The paper's :class:`ProbabilisticNetworkAwareScheduler`
+is also exported here; it lives in :mod:`repro.core`, which imports this
+package.
 """
 
-from repro.schedulers.base import SchedulerContext, TaskScheduler
-from repro.schedulers.capacity import CapacityJobScheduler
-from repro.schedulers.coupling import CouplingScheduler
-from repro.schedulers.fair import FairScheduler
-from repro.schedulers.larts import LARTSScheduler
-from repro.schedulers.matching import MatchingScheduler
-from repro.schedulers.joblevel import (
-    FairJobScheduler,
-    FIFOJobScheduler,
-    JobLevelScheduler,
-)
-from repro.schedulers.simple import GreedyCostScheduler, RandomScheduler
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": ("SchedulerContext", "TaskScheduler"),
+    ".capacity": ("CapacityJobScheduler",),
+    ".coupling": ("CouplingScheduler",),
+    ".fair": ("FairScheduler",),
+    ".joblevel": ("FIFOJobScheduler", "FairJobScheduler", "JobLevelScheduler"),
+    ".larts": ("LARTSScheduler",),
+    ".matching": ("MatchingScheduler",),
+    ".simple": ("GreedyCostScheduler", "RandomScheduler"),
+    "repro.core.scheduler": ("PNAConfig", "ProbabilisticNetworkAwareScheduler"),
+})
 
 __all__ = [
     "CapacityJobScheduler",
@@ -34,21 +36,3 @@ __all__ = [
     "SchedulerContext",
     "TaskScheduler",
 ]
-
-# Defined in repro.core.scheduler, which imports repro.schedulers.base and
-# therefore this package: resolve on first attribute access (PEP 562).
-_LAZY = {
-    "PNAConfig": "repro.core.scheduler",
-    "ProbabilisticNetworkAwareScheduler": "repro.core.scheduler",
-}
-
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    obj = getattr(importlib.import_module(module), name)
-    globals()[name] = obj
-    return obj

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.core.cost import JobCostModel
 from repro.core.estimator import IntermediateEstimator, ProgressEstimator
@@ -74,6 +73,10 @@ class MatchingScheduler(TaskScheduler):
         assignment picks the cheapest task subset; when slots are plentiful
         every task lands somewhere.
         """
+        # deferred: scipy.optimize takes ~0.4 s to import, and no other
+        # scheduler needs it
+        from scipy.optimize import linear_sum_assignment
+
         rows, cols = linear_sum_assignment(cost)
         for r, c in zip(rows, cols):
             if slot_nodes[c] == node.index:

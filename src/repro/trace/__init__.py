@@ -14,6 +14,8 @@ use the CLI: ``repro trace out.json`` / ``repro <experiment> --trace path``
 / ``repro report path``.
 """
 
+from repro.lazy import lazy_exports
+
 from .events import (
     Assign,
     AttemptFailed,
@@ -52,15 +54,19 @@ from .events import (
     UNMATCHED,
     as_dicts,
 )
-from .export import (
-    chrome_trace,
-    events_to_chrome,
-    events_to_jsonl,
-    jsonl_lines,
-    read_jsonl,
-)
 from .recorder import NullRecorder, TraceRecorder
-from .render import ascii_timeline, trace_summary
+
+# the exporters and renderers sit above the engine: load them on first use
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".export": (
+        "chrome_trace",
+        "events_to_chrome",
+        "events_to_jsonl",
+        "jsonl_lines",
+        "read_jsonl",
+    ),
+    ".render": ("ascii_timeline", "trace_summary"),
+})
 
 __all__ = [
     "Assign",

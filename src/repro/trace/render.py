@@ -12,8 +12,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, Iterable, List, Tuple
 
-from repro.analysis.render import format_table
-
 from .events import EventLike, as_dicts
 
 __all__ = ["ascii_timeline", "trace_summary"]
@@ -25,6 +23,9 @@ _DENSITY = " .:*#@"
 
 def trace_summary(events: Iterable[EventLike]) -> str:
     """Tabular digest: event counts, then declines by kind and reason."""
+    # the analysis layer sits above the exporters: import at call time
+    from repro.analysis.render import format_table
+
     evs = as_dicts(events)
     counts = Counter(str(e["type"]) for e in evs)
     sections = [

@@ -20,8 +20,13 @@ PACKAGES = [
     "repro.workload",
     "repro.metrics",
     "repro.analysis",
+    "repro.analysis.check",
     "repro.experiments",
     "repro.yarn",
+    "repro.trace",
+    "repro.obs",
+    "repro.faults",
+    "repro.lint",
 ]
 
 
@@ -52,6 +57,32 @@ class TestDocstrings:
             obj = getattr(pkg, name)  # raises if missing
             if callable(obj) and not isinstance(obj, type(repro)):
                 assert obj.__doc__, f"{pkg_name}.{name} lacks a docstring"
+
+    def test_all_exports_listed_by_dir(self):
+        """Lazy (PEP 562) exports show up in ``dir(pkg)`` before first use.
+
+        A fresh interpreter, because any earlier attribute access caches
+        the name in the package namespace and would hide a gap.
+        """
+        import json
+        import subprocess
+        import sys
+
+        code = (
+            "import importlib, json\n"
+            f"missing = {{}}\n"
+            f"for name in {PACKAGES!r}:\n"
+            "    pkg = importlib.import_module(name)\n"
+            "    gap = sorted(set(pkg.__all__) - set(dir(pkg)))\n"
+            "    if gap:\n"
+            "        missing[name] = gap\n"
+            "print(json.dumps(missing))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == {}
 
 
 class TestPublicSurfaces:

@@ -535,6 +535,109 @@ class TestVocab:
 
 
 # ----------------------------------------------------------------------
+# import layers
+# ----------------------------------------------------------------------
+UPWARD_IMPORT = (
+    '"""A cluster module reaching up into the engine."""\n'
+    "from repro.engine.simulation import Simulation\n"
+)
+
+
+class TestImportLayers:
+    def test_upward_import_flagged_with_path_and_line(self):
+        fs = run_check(UPWARD_IMPORT, name="repro/cluster/bad.py")
+        assert [f.rule for f in fs] == ["import-layer"]
+        assert (fs[0].path, fs[0].line) == ("repro/cluster/bad.py", 2)
+        assert "repro.engine.simulation (engine layer)" in fs[0].message
+
+    def test_relative_upward_import_flagged(self):
+        fs = run_check_many([
+            ("repro/cluster/bad.py", "x = 1\nfrom ..engine import simulation\n"),
+            ("repro/engine/simulation.py", "y = 2\n"),
+        ])
+        assert [(f.rule, f.path, f.line) for f in fs] == [
+            ("import-layer", "repro/cluster/bad.py", 2)
+        ]
+        assert "imports repro.engine.simulation" in fs[0].message
+
+    def test_package_init_reexport_flagged(self):
+        # the shape of the inversion that once put scipy on every run's
+        # import path: a package __init__ eagerly re-exporting a renderer
+        fs = run_check_many([
+            ("repro/trace/__init__.py", "from .render import trace_summary\n"),
+            ("repro/trace/render.py", "def trace_summary(events):\n    pass\n"),
+        ])
+        assert [(f.rule, f.path) for f in fs] == [
+            ("import-layer", "repro/trace/__init__.py")
+        ]
+        assert "imports repro.trace.render (export layer)" in fs[0].message
+
+    def test_downward_and_same_layer_imports_pass(self):
+        src = (
+            "from repro.cluster.network import FlowNetwork\n"
+            "from repro.trace.events import Assign\n"
+            "from repro.units import MB\n"
+            "import numpy as np\n"
+        )
+        assert run_check(src, name="repro/cluster/ok.py") == []
+
+    def test_function_local_import_passes(self):
+        src = (
+            "def build():\n"
+            "    from repro.engine.simulation import Simulation\n"
+            "    return Simulation\n"
+        )
+        assert run_check(src, name="repro/cluster/ok.py") == []
+
+    def test_type_checking_import_passes(self):
+        src = (
+            "from typing import TYPE_CHECKING\n"
+            "if TYPE_CHECKING:\n"
+            "    from repro.engine.simulation import Simulation\n"
+        )
+        assert run_check(src, name="repro/cluster/ok.py") == []
+
+    def test_conditional_and_try_imports_are_module_level(self):
+        src = (
+            "try:\n"
+            "    from repro.engine import Simulation\n"
+            "except ImportError:\n"
+            "    Simulation = None\n"
+        )
+        fs = run_check(src, name="repro/cluster/bad.py")
+        assert [(f.rule, f.line) for f in fs] == [("import-layer", 2)]
+
+    def test_waiver_accepted(self):
+        src = UPWARD_IMPORT.replace(
+            "import Simulation\n",
+            "import Simulation  # repro: lint-ok[import-layer]\n",
+        )
+        assert run_check(src, name="repro/cluster/bad.py") == []
+
+    def test_undeclared_module_flagged(self):
+        fs = run_check("x = 1\n", name="repro/newpkg/mod.py")
+        assert [f.rule for f in fs] == ["import-layer"]
+        assert "no declared import layer" in fs[0].message
+
+    def test_modules_outside_the_package_are_skipped(self):
+        assert run_check(UPWARD_IMPORT, name="tools/script.py") == []
+
+    def test_layer_lookup_longest_entry_wins(self):
+        from repro.analysis.check.layers import IMPORT_LAYERS, layer_of
+
+        def name(module):
+            return IMPORT_LAYERS[layer_of(module)][0]
+
+        assert name("repro.trace.events") == "trace"
+        assert name("repro.trace.export") == "export"
+        assert name("repro.obs.profile") == "base"
+        assert name("repro.obs.dashboard") == "export"
+        assert name("repro") == "api"
+        assert layer_of("repro.newpkg") is None
+        assert name("repro.core.scheduler") == name("repro.schedulers.base")
+
+
+# ----------------------------------------------------------------------
 # suppression, filtering, parse errors
 # ----------------------------------------------------------------------
 class TestFiltering:

@@ -1,0 +1,98 @@
+"""A simulation run imports only what it uses.
+
+The run happens in a fresh interpreter, so nothing another test imported
+can hide a regression: a smoke-sized PNA network-condition run on a tree,
+built through the public API, must leave scipy, the analysis package and
+every exporter unloaded.  ``MatchingScheduler`` is the one user of scipy;
+it must load scipy on its first solve, not on import, and still give the
+same schedule.  The checks count modules, not seconds, so they hold on any
+host.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+#: modules a plain simulation run must never load
+OFF_PATH = (
+    "scipy",
+    "repro.analysis",
+    "repro.trace.render",
+    "repro.trace.export",
+    "repro.obs.export",
+    "repro.obs.dashboard",
+    "repro.experiments.chaos",
+    "repro.experiments.sweep",
+)
+
+SCRIPT = textwrap.dedent(
+    """
+    import json
+    import sys
+
+    from repro import ClusterSpec, Simulation
+    from repro.core import PNAConfig, ProbabilisticNetworkAwareScheduler
+    from repro.experiments.perf import batched_workload
+
+    OFF_PATH = {off_path!r}
+
+
+    def run(scheduler):
+        result = Simulation(
+            cluster=ClusterSpec(num_racks=2, nodes_per_rack=8),
+            scheduler=scheduler,
+            jobs=batched_workload(3, scale=0.05, stagger=5.0),
+            seed=1,
+        ).run()
+        c = result.collector
+        return [c.makespan(), [float(x) for x in c.job_completion_times()]]
+
+
+    def loaded():
+        return sorted(m for m in OFF_PATH if m in sys.modules)
+
+
+    doc = {{}}
+    run(ProbabilisticNetworkAwareScheduler(PNAConfig(network_condition=True)))
+    doc["loaded_after_pna"] = loaded()
+
+    from repro.schedulers import MatchingScheduler
+
+    scheduler = MatchingScheduler()
+    doc["scipy_before_solve"] = "scipy" in sys.modules
+    doc["matching"] = run(scheduler)
+    doc["scipy_after_solve"] = "scipy" in sys.modules
+    print(json.dumps(doc))
+    """
+)
+
+
+@pytest.fixture(scope="module")
+def fresh_run():
+    out = subprocess.run(
+        [sys.executable, "-c", SCRIPT.format(off_path=OFF_PATH)],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_simulation_run_leaves_heavy_modules_unloaded(fresh_run):
+    assert fresh_run["loaded_after_pna"] == []
+
+
+def test_matching_loads_scipy_on_first_solve(fresh_run):
+    assert not fresh_run["scipy_before_solve"]
+    assert fresh_run["scipy_after_solve"]
+
+
+def test_matching_run_result(fresh_run):
+    makespan, jct = fresh_run["matching"]
+    assert makespan == pytest.approx(44.782370, abs=1e-6)
+    assert jct == pytest.approx([23.334986, 36.037208, 34.782370], abs=1e-6)
