@@ -1,7 +1,7 @@
-"""``repro check`` — whole-program static analysis for the simulator.
+"""``repro check`` — the simulator's one static analyzer.
 
-Four passes over a project-wide symbol table and attribute-flow index
-(:mod:`~repro.analysis.check.project`):
+Seven passes over one project-wide symbol table and attribute-flow index
+(:mod:`~repro.analysis.check.project`), each parsed once:
 
 * **cache-coherence** (:mod:`~repro.analysis.check.coherence`): every write
   reaching a declared cache input (``@cached_on`` decorations and
@@ -9,18 +9,30 @@ Four passes over a project-wide symbol table and attribute-flow index
   invalidator on every path;
 * **RNG provenance** (:mod:`~repro.analysis.check.provenance`): every
   generator traces back to an injected, uniquely-indexed registered
-  substream — no ambient entropy, constant self-seeds or duplicate streams;
-* **closed vocabularies** (:mod:`~repro.analysis.check.vocab`): decline
-  reasons, journal kinds and trace-event tags are checked both ways —
-  unknown members at use-sites and unused members at definition sites;
+  substream — no ambient entropy, numpy global state, constant self-seeds
+  or duplicate streams;
+* **closed vocabularies** (:mod:`~repro.analysis.check.vocab`): decline and
+  failure reasons, journal kinds and trace-event tags are checked both
+  ways — unknown members at use-sites and unused members at definition
+  sites;
 * **import layers** (:mod:`~repro.analysis.check.layers`): no module-level
-  import of a higher layer of the declared layer order.
+  import of a higher layer of the declared layer order;
+* **determinism** (:mod:`~repro.analysis.check.determinism`): no wall clock
+  and no stdlib ``random`` inside the simulation-critical packages;
+* **hygiene** (:mod:`~repro.analysis.check.hygiene`): no raw size/rate
+  literals and no ``print()`` outside the entry points;
+* **scheduler contracts** (:mod:`~repro.analysis.check.contracts`): every
+  ``TaskScheduler`` subclass implements both hooks, names itself, is
+  exported, and never mutates its ``SchedulerContext``.
 
-Findings ship as text, JSON or SARIF and ratchet against a committed
-baseline (:mod:`~repro.analysis.check.baseline`).  The static declarations
-double as runtime contracts: ``REPRO_SANITIZE=cache`` (see
-:mod:`repro.coherence`) shadow-executes the declared reference recompute on
-sampled cache hits and asserts byte-equality.
+Waive one occurrence with ``# repro: lint-ok[<rule>]`` on its line
+(:mod:`~repro.analysis.check.suppress`).  Findings ship as text, JSON or
+SARIF and ratchet against a committed baseline
+(:mod:`~repro.analysis.check.baseline`).  The cache declarations double as
+runtime contracts: ``REPRO_SANITIZE=cache`` (see :mod:`repro.coherence`)
+shadow-executes the declared reference recompute on sampled cache hits and
+asserts byte-equality; :mod:`repro.engine.invariants` is the runtime
+counterpart of the rest.
 """
 
 from repro.analysis.check.baseline import (

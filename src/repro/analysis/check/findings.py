@@ -1,16 +1,9 @@
-"""The finding record every ``repro check`` pass emits.
+"""The rule table and the finding record every ``repro check`` pass emits.
 
-A :class:`Finding` pins one whole-program defect to a file, line and column,
-names the rule that fired (the same name used in ``# repro: lint-ok[<rule>]``
-waivers and in the committed baseline) and carries a human-readable message.
+A :class:`Finding` pins one defect to a file, line and column, names the
+rule that fired (the same name used in ``# repro: lint-ok[<rule>]`` waivers
+and in the committed baseline) and carries a human-readable message.
 Findings order by location so reports are stable across runs and platforms.
-
-Unlike :mod:`repro.lint` — whose rules are local to one module — every rule
-here needs the *project-wide* symbol table built by
-:mod:`repro.analysis.check.project`: a cache input written in one module may
-be bumped by a helper in another, an RNG stream is provenanced through a
-chain of call sites, and a vocabulary defined in ``trace/events.py`` is
-consumed everywhere.
 """
 
 from __future__ import annotations
@@ -49,6 +42,17 @@ RULES = {
     # closed-vocabulary pass
     "vocab-unknown": "string used at a vocabulary site is not a declared member",
     "vocab-unused": "declared vocabulary member is never used anywhere",
+    # determinism pass (simulation-critical packages only)
+    "wallclock": "wall-clock read inside simulation-critical code",
+    "global-rng": "call through stdlib random's process-global state",
+    # hygiene pass
+    "magic-unit": "raw size/rate literal where repro.units helpers exist",
+    "no-print": "print() in library code; return strings or emit trace events",
+    # scheduler-contract pass
+    "scheduler-hooks": "TaskScheduler subclass missing select_map/select_reduce",
+    "scheduler-name": "TaskScheduler subclass chain never overrides `name`",
+    "scheduler-export": "TaskScheduler subclass absent from schedulers __all__",
+    "ctx-mutation": "scheduler mutates a SchedulerContext field",
     # import-layer pass
     "import-layer": (
         "module-level import of a higher layer, or a module in no "

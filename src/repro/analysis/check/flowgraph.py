@@ -40,6 +40,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.analysis.check.project import callee_name
+
 __all__ = ["Guard", "write_is_guaranteed", "function_guarantees"]
 
 _MAX_CALL_DEPTH = 3
@@ -60,15 +62,6 @@ class Guard:
     #: resolves helper names for transitive guarantees.
     resolver: Optional[Resolver] = None
     _memo: Dict[int, bool] = field(default_factory=dict)
-
-
-def _callee_name(call: ast.Call) -> Optional[str]:
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
 
 
 def _is_version_bump(stmt: ast.stmt, guard: Guard) -> bool:
@@ -101,7 +94,7 @@ def _stmt_guarantees(stmt: ast.stmt, guard: Guard, depth: int) -> bool:
     if _is_version_bump(stmt, guard):
         return True
     if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-        name = _callee_name(stmt.value)
+        name = callee_name(stmt.value)
         if name is not None:
             if name in guard.invalidators:
                 return True

@@ -10,8 +10,9 @@ inside functions and under ``if TYPE_CHECKING:`` are allowed.  Package
 ``repro.trace.events`` first runs ``repro/trace/__init__.py``, which is how
 one eager re-export there once put scipy on every simulation's import path.
 
-Only modules named ``repro.*`` from the analysis root are checked, as in
-``repro check src``.
+Only modules named ``repro.*`` are checked; module names come from the
+package layout, so ``repro check src`` and ``repro check src/repro/engine``
+agree.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ IMPORT_LAYERS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
         "repro.obs.dashboard", "repro.obs.export",
         "repro.trace.export", "repro.trace.render",
     )),
-    ("analysis", ("repro.analysis", "repro.lint")),
+    ("analysis", ("repro.analysis",)),
     ("experiments", ("repro.experiments",)),
     ("cli", ("repro.__main__", "repro.cli")),
 )

@@ -1,12 +1,13 @@
 """Project loader: parse every module once, index symbols and writes.
 
-:class:`Project` is the shared substrate of the four ``repro check``
-passes.  It parses each source file into an :class:`ast.Module`, builds a
-symbol table (modules, classes by name, functions by qualified name), links
-the class inheritance graph, and indexes every *attribute write* in the
-project — plain assignment, augmented assignment, subscript stores
-(``self._m[k] = v`` mutates ``_m``), deletes, and calls of known mutating
-methods (``self._m.append(x)`` mutates ``_m``).
+:class:`Project` is the shared substrate of every ``repro check`` pass.
+It parses each source file into an :class:`ast.Module`, resolves each
+module's import aliases, builds a symbol table (modules, classes by name,
+functions by qualified name), links the class inheritance graph, and
+indexes every *attribute write* in the project — plain assignment,
+augmented assignment, subscript stores (``self._m[k] = v`` mutates
+``_m``), deletes, and calls of known mutating methods
+(``self._m.append(x)`` mutates ``_m``).
 
 Everything is plain ``ast`` — the analyzed project is never imported, so
 the passes work identically on the live tree and on the defect fixtures in
@@ -18,9 +19,12 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-__all__ = ["Project", "ModuleInfo", "ClassInfo", "FunctionInfo", "Write"]
+__all__ = [
+    "Project", "ModuleInfo", "ClassInfo", "FunctionInfo", "Write",
+    "callee_name", "read_sources",
+]
 
 #: method names whose call mutates the receiver in place.
 MUTATOR_METHODS = frozenset(
@@ -39,9 +43,25 @@ class ModuleInfo:
 
     name: str                     # dotted module name derived from the scope path
     path: str                     # display path (as given), used in reports
-    scope: PurePosixPath          # path relative to the analysis root
+    scope: PurePosixPath          # path relative to the package root
     source: str
     tree: ast.Module
+    #: local name -> absolute dotted name it is bound to by an import
+    imports: Dict[str, str] = field(default_factory=dict)
+
+    def qualified(self, expr: ast.expr) -> Optional[str]:
+        """``a.b.c`` with its head resolved through the module's imports.
+
+        ``np.random.rand`` -> ``numpy.random.rand`` under ``import numpy as
+        np``; None when the head is not an imported name.
+        """
+        parts: List[str] = []
+        while isinstance(expr, ast.Attribute):
+            parts.append(expr.attr)
+            expr = expr.value
+        if not isinstance(expr, ast.Name) or expr.id not in self.imports:
+            return None
+        return ".".join([self.imports[expr.id], *reversed(parts)])
 
 
 @dataclass
@@ -92,6 +112,33 @@ def _base_attribute(expr: ast.expr) -> Optional[ast.Attribute]:
     return expr if isinstance(expr, ast.Attribute) else None
 
 
+def callee_name(call: ast.Call) -> Optional[str]:
+    """The called name: ``f`` for ``f(...)``, ``m`` for ``x.y.m(...)``."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _import_aliases(tree: ast.Module) -> Dict[str, str]:
+    """Every absolute import in the module, as local name -> dotted name."""
+    out: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    out[alias.asname] = alias.name
+                else:
+                    head = alias.name.split(".")[0]
+                    out[head] = head
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                out[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return out
+
+
 def _iter_assign_targets(stmt: ast.stmt) -> Iterator[ast.expr]:
     if isinstance(stmt, ast.Assign):
         for t in stmt.targets:
@@ -128,8 +175,11 @@ class Project:
     def from_sources(
         cls, sources: Sequence[Tuple[str, Path, str]]
     ) -> "Project":
-        """Build from in-memory ``(display_path, scope_path, source)`` triples
-        — the same shape :func:`repro.lint.lint_sources` takes."""
+        """Build from in-memory ``(display_path, scope_path, source)`` triples.
+
+        The scope path is the file's path below its package root; its
+        parts name the module (``repro/engine/task.py`` is
+        ``repro.engine.task``)."""
         project = cls()
         for display, scope, source in sources:
             try:
@@ -142,7 +192,8 @@ class Project:
             scope = PurePosixPath(Path(scope).as_posix())
             name = ".".join(scope.with_suffix("").parts)
             info = ModuleInfo(
-                name=name, path=display, scope=scope, source=source, tree=tree
+                name=name, path=display, scope=scope, source=source, tree=tree,
+                imports=_import_aliases(tree),
             )
             project.modules[name] = info
             project._index_module(info)
@@ -151,17 +202,8 @@ class Project:
 
     @classmethod
     def from_paths(cls, paths: Sequence[Path]) -> "Project":
-        """Parse every ``*.py`` under ``paths`` (same discovery as lint)."""
-        sources: List[Tuple[str, Path, str]] = []
-        for root in paths:
-            root = Path(root)
-            if not root.exists():
-                raise FileNotFoundError(f"no such path: {root}")
-            base = root if root.is_dir() else root.parent
-            for path in _iter_python_files(root):
-                rel = path.relative_to(base)
-                sources.append((str(path), rel, path.read_text(encoding="utf-8")))
-        return cls.from_sources(sources)
+        """Parse every ``*.py`` under ``paths`` (see :func:`read_sources`)."""
+        return cls.from_sources(read_sources(paths))
 
     # ------------------------------------------------------------------
     # indexing
@@ -260,31 +302,40 @@ class Project:
         infos = self.classes.get(name)
         return infos[0] if infos else None
 
+    def descendants(self, name: str) -> Set[str]:
+        """``name`` plus every class transitively subclassing it."""
+        out: Set[str] = set()
+        stack = [name]
+        while stack:
+            current = stack.pop()
+            if current not in out:
+                out.add(current)
+                stack.extend(self._subclasses.get(current, ()))
+        return out
+
+    def lineage(self, name: str) -> List[ClassInfo]:
+        """Every definition of ``name`` and of its known ancestors, in
+        method-lookup order."""
+        out: List[ClassInfo] = []
+        seen: Set[str] = set()
+        stack = [name]
+        while stack:
+            current = stack.pop()
+            if current in seen:
+                continue
+            seen.add(current)
+            for info in self.classes.get(current, []):
+                out.append(info)
+                stack.extend(info.bases)
+        return out
+
     def related_classes(self, name: str) -> Set[str]:
         """``name`` plus its transitive ancestors and descendants.
 
         A write in a base-class method mutates subclass instances (and vice
         versa), so cache-input matching spans the whole chain.
         """
-        related: Set[str] = set()
-        stack = [name]
-        while stack:  # descendants
-            current = stack.pop()
-            if current in related:
-                continue
-            related.add(current)
-            stack.extend(self._subclasses.get(current, ()))
-        stack = [name]
-        seen: Set[str] = set()
-        while stack:  # ancestors
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            related.add(current)
-            for info in self.classes.get(current, []):
-                stack.extend(info.bases)
-        return related
+        return self.descendants(name) | {c.name for c in self.lineage(name)}
 
     def writes_to(self, class_name: str, attr: str) -> List[Write]:
         """Every project write plausibly mutating ``class_name.attr``.
@@ -313,30 +364,38 @@ class Project:
         self, class_name: str, method: str
     ) -> Optional[FunctionInfo]:
         """Look up ``method`` on ``class_name`` or any of its ancestors."""
-        seen: Set[str] = set()
-        stack = [class_name]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            for info in self.classes.get(current, []):
-                if method in info.methods:
-                    return info.methods[method]
-                stack.extend(info.bases)
+        for info in self.lineage(class_name):
+            if method in info.methods:
+                return info.methods[method]
         return None
 
 
-def _iter_python_files(root: Path) -> Iterable[Path]:
-    if root.is_file():
-        if root.suffix == ".py":
-            yield root
-        return
-    for path in sorted(root.rglob("*.py")):
-        parts = path.relative_to(root).parts
-        if any(
-            p in _SKIP_DIRS or p.endswith(".egg-info") or p.startswith(".")
-            for p in parts[:-1]
-        ):
-            continue
-        yield path
+def read_sources(paths: Sequence[Path]) -> List[Tuple[str, PurePosixPath, str]]:
+    """``(display path, scope path, source)`` for every ``*.py`` under ``paths``.
+
+    The scope path is relative to the nearest ancestor of the given path
+    that is not a package (holds no ``__init__.py``), so ``src``,
+    ``src/repro/engine`` and ``src/repro/engine/task.py`` all name that file
+    ``repro/engine/task.py`` and every pass sees the same module.
+    """
+    sources: List[Tuple[str, PurePosixPath, str]] = []
+    for root in map(Path, paths):
+        if not root.exists():
+            raise FileNotFoundError(f"no such path: {root}")
+        base = root.resolve() if root.is_dir() else root.resolve().parent
+        while (base / "__init__.py").is_file() and base.parent != base:
+            base = base.parent
+        if root.is_file():
+            files = [root] if root.suffix == ".py" else []
+        else:
+            files = [
+                path for path in sorted(root.rglob("*.py"))
+                if not any(
+                    p in _SKIP_DIRS or p.endswith(".egg-info") or p.startswith(".")
+                    for p in path.relative_to(root).parts[:-1]
+                )
+            ]
+        for path in files:
+            scope = PurePosixPath(path.resolve().relative_to(base).as_posix())
+            sources.append((str(path), scope, path.read_text(encoding="utf-8")))
+    return sources

@@ -8,8 +8,10 @@ seeded from one of those children or from an explicitly injected parameter.
 This pass verifies the contract statically, whole-program:
 
 * ``rng-ambient`` — ``default_rng()`` / ``SeedSequence()`` with no
-  arguments (OS entropy), or a draw from numpy's global singleton
-  (``np.random.rand`` and friends);
+  arguments (OS entropy), or any call into numpy's global singleton
+  (``np.random.rand``, ``np.random.seed``, an imported
+  ``numpy.random.shuffle`` ...) — everything in ``numpy.random`` but the
+  generator-construction API;
 * ``rng-constant-seed`` — a generator self-seeded with a baked-in literal;
 * ``rng-unprovenanced`` — a seed expression that does not trace back to an
   injected parameter (``seed``, ``rng``, ``seed_seq``, ``*_ss``,
@@ -28,7 +30,7 @@ import ast
 from typing import Dict, List, Optional, Set
 
 from repro.analysis.check.findings import Finding
-from repro.analysis.check.project import ModuleInfo, Project
+from repro.analysis.check.project import ModuleInfo, Project, callee_name
 
 __all__ = ["check_provenance"]
 
@@ -38,12 +40,12 @@ _INJECTED_NAMES = frozenset(
 )
 _INJECTED_SUFFIXES = ("_seed", "_rng", "_ss", "_seed_seq")
 
-#: numpy global-singleton draws (ambient state, order-dependent).
-_GLOBAL_DRAWS = frozenset(
+#: numpy.random attributes that construct explicit generators; every other
+#: ``numpy.random`` call goes through the global singleton.
+_GENERATOR_API = frozenset(
     {
-        "rand", "randn", "randint", "random", "random_sample", "choice",
-        "shuffle", "permutation", "seed", "normal", "uniform", "poisson",
-        "exponential", "binomial",
+        "default_rng", "Generator", "SeedSequence", "BitGenerator",
+        "MT19937", "PCG64", "PCG64DXSM", "Philox", "SFC64",
     }
 )
 
@@ -54,24 +56,13 @@ def _is_injected_name(name: str) -> bool:
     return name in _INJECTED_NAMES or name.endswith(_INJECTED_SUFFIXES)
 
 
-def _callee(call: ast.Call) -> Optional[str]:
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
-def _is_np_random_attr(func: ast.expr) -> bool:
-    """Matches ``np.random.X`` / ``numpy.random.X`` attribute chains."""
-    return (
-        isinstance(func, ast.Attribute)
-        and isinstance(func.value, ast.Attribute)
-        and func.value.attr == "random"
-        and isinstance(func.value.value, ast.Name)
-        and func.value.value.id in ("np", "numpy")
-    )
+def _is_global_draw(target: Optional[str]) -> bool:
+    """``numpy.random.<attr>`` outside the generator-construction API."""
+    prefix = "numpy.random."
+    if target is None or not target.startswith(prefix):
+        return False
+    attr = target[len(prefix):]
+    return "." not in attr and attr not in _GENERATOR_API
 
 
 def _literal_only(node: ast.expr) -> bool:
@@ -145,7 +136,7 @@ class _FunctionScope:
             # self._churn_ss / tracker.seed / spec.seed: name-convention match
             return _is_injected_name(node.attr)
         if isinstance(node, ast.Call):
-            name = _callee(node)
+            name = callee_name(node)
             if name == "spawn" and isinstance(node.func, ast.Attribute):
                 return self.provenanced(node.func.value, depth - 1)
             if name in ("SeedSequence", "default_rng", "Generator"):
@@ -262,7 +253,7 @@ def check_provenance(project: Project) -> List[Finding]:
             for node in ast.walk(root):
                 if id(node) in nested or not isinstance(node, ast.Call):
                     continue
-                name = _callee(node)
+                name = callee_name(node)
                 if name == "spawn" and isinstance(node.func, ast.Attribute):
                     count = _spawn_count(node, registry_size)
                     targets = _unpack_arity(module.tree, node)
@@ -312,13 +303,10 @@ def check_provenance(project: Project) -> List[Finding]:
                             "SeedSequence seeded with a baked-in constant — "
                             "inject the seed instead",
                         )
-                elif (
-                    name in _GLOBAL_DRAWS
-                    and _is_np_random_attr(node.func)
-                ):
+                elif _is_global_draw(target := module.qualified(node.func)):
                     emit(
                         module, node, "rng-ambient",
-                        f"np.random.{name}() uses numpy's global RNG — "
+                        f"{target}() uses numpy's global RNG — "
                         "draw from an injected Generator",
                     )
     return findings

@@ -10,11 +10,11 @@ analyzer.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.analysis.check.findings import Finding, RULES
 
-__all__ = ["format_text", "format_json", "format_sarif", "FORMATS"]
+__all__ = ["format_json", "format_sarif", "FORMATS"]
 
 FORMATS = ("text", "json", "sarif")
 
@@ -24,10 +24,6 @@ _SARIF_SCHEMA = (
     "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
     "Schemata/sarif-schema-2.1.0.json"
 )
-
-
-def format_text(findings: Sequence[Finding]) -> str:
-    return "\n".join(f.format() for f in findings)
 
 
 def format_json(findings: Sequence[Finding]) -> str:

@@ -8,9 +8,12 @@ Usage::
     repro check --update-baseline src         # re-record the baseline
 
 Exit status: 0 when no non-baselined finding remains, 1 when new findings
-appear (or baselined ones disappeared without re-recording), 2 on usage or
-parse errors — the same contract as ``repro lint``, so both slot directly
-into CI.
+appear (or baselined ones disappeared without re-recording), 2 on usage,
+configuration or parse errors.
+
+The only configuration is ``baseline`` in ``[tool.repro.check]`` of the
+nearest ``pyproject.toml``; any other key there, or a leftover
+``[tool.repro.lint]`` table, is an error.
 """
 
 from __future__ import annotations
@@ -24,30 +27,42 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.analysis.check import baseline as baseline_mod
 from repro.analysis.check.coherence import check_coherence
+from repro.analysis.check.contracts import check_contracts
+from repro.analysis.check.determinism import check_determinism
 from repro.analysis.check.findings import Finding, RULES
+from repro.analysis.check.hygiene import check_hygiene
 from repro.analysis.check.layers import check_import_layers
-from repro.analysis.check.project import Project, _iter_python_files
+from repro.analysis.check.project import Project, read_sources
 from repro.analysis.check.provenance import check_provenance
-from repro.analysis.check.report import FORMATS, format_json, format_sarif, format_text
-from repro.analysis.check.vocab import check_vocab
-from repro.lint.runner import ALL_RULES as LINT_RULES
-from repro.lint.suppress import (
+from repro.analysis.check.report import FORMATS, format_json, format_sarif
+from repro.analysis.check.suppress import (
     is_suppressed,
     string_literal_lines,
     suppressions,
     unknown_waiver_rules,
 )
+from repro.analysis.check.vocab import check_vocab
 
 __all__ = ["CheckConfig", "check_sources", "check_paths", "main"]
 
 DEFAULT_BASELINE = "CHECK_BASELINE.json"
+
+#: every pass, each ``Project -> List[Finding]``.
+PASSES = (
+    check_coherence,
+    check_provenance,
+    check_vocab,
+    check_import_layers,
+    check_determinism,
+    check_hygiene,
+    check_contracts,
+)
 
 
 @dataclass(frozen=True)
 class CheckConfig:
     """Effective configuration for one check run."""
 
-    exclude: Tuple[str, ...] = ()
     select: Tuple[str, ...] = ()   # empty = every rule
     ignore: Tuple[str, ...] = ()
     baseline: str = DEFAULT_BASELINE
@@ -61,12 +76,6 @@ class CheckConfig:
         if self.select and rule not in self.select:
             return False
         return rule not in self.ignore
-
-    def is_excluded(self, path: Path) -> bool:
-        posix = path.as_posix()
-        return any(
-            posix == pat or posix.endswith("/" + pat) for pat in self.exclude
-        )
 
     def baseline_path(self) -> Path:
         raw = Path(self.baseline)
@@ -89,6 +98,7 @@ class CheckConfig:
 
     @classmethod
     def from_pyproject(cls, pyproject: Path) -> "CheckConfig":
+        """Read ``baseline``; raise ``ValueError`` on any stale setting."""
         try:
             import tomllib
         except ImportError:  # pragma: no cover - python < 3.11
@@ -97,61 +107,25 @@ class CheckConfig:
             data = tomllib.loads(pyproject.read_text(encoding="utf-8"))
         except (OSError, tomllib.TOMLDecodeError):
             return cls(root=pyproject.parent)
-        table = data.get("tool", {}).get("repro", {}).get("check", {})
-        if not isinstance(table, dict):
-            return cls(root=pyproject.parent)
-
-        def strings(key: str, default: Tuple[str, ...]) -> Tuple[str, ...]:
-            raw = table.get(key, table.get(key.replace("_", "-")))
-            if raw is None:
-                return default
-            if not isinstance(raw, list) or not all(
-                isinstance(x, str) for x in raw
-            ):
+        tables = data.get("tool", {}).get("repro", {})
+        if "lint" in tables:
+            raise ValueError(
+                f"{pyproject}: [tool.repro.lint] is no longer read; its "
+                "settings are built into `repro check` — delete the table"
+            )
+        table = tables.get("check", {})
+        for key in table:
+            if key != "baseline":
                 raise ValueError(
-                    f"[tool.repro.check] {key} must be a list of strings"
+                    f"{pyproject}: unknown key {key!r} in [tool.repro.check] "
+                    "(the only key is 'baseline')"
                 )
-            return tuple(raw)
-
         baseline = table.get("baseline", DEFAULT_BASELINE)
         if not isinstance(baseline, str):
-            raise ValueError("[tool.repro.check] baseline must be a string")
-        return cls(
-            exclude=strings("exclude", ()),
-            select=strings("select", ()),
-            ignore=strings("ignore", ()),
-            baseline=baseline,
-            root=pyproject.parent,
-            source=str(pyproject),
-        )
-
-
-#: every waivable rule name this command recognises in lint-ok markers —
-#: its own plus repro lint's (check owns the cross-command validation of
-#: its rule families, so no foreign prefixes are exempted here).
-_KNOWN_WAIVER_RULES: FrozenSet[str] = frozenset(RULES) | frozenset(LINT_RULES)
-
-
-def _unknown_waivers(
-    display: str,
-    waivers: Dict[int, FrozenSet[str]],
-    skip_lines,
-) -> List[Finding]:
-    return [
-        Finding(
-            path=display, line=line, col=1, rule="unknown-waiver",
-            message=(
-                f"lint-ok marker waives unknown rule {rule!r} — it "
-                "suppresses nothing; fix the name or drop it"
-            ),
-        )
-        for line, rule in unknown_waiver_rules(
-            waivers,
-            _KNOWN_WAIVER_RULES,
-            skip_lines=skip_lines,
-            foreign_prefixes=(),
-        )
-    ]
+            raise ValueError(
+                f"{pyproject}: [tool.repro.check] baseline must be a string"
+            )
+        return cls(baseline=baseline, root=pyproject.parent, source=str(pyproject))
 
 
 def check_sources(
@@ -160,9 +134,9 @@ def check_sources(
 ) -> List[Finding]:
     """Analyze in-memory sources: ``(display_path, scope_path, source)`` each.
 
-    Runs all four whole-program passes over one shared :class:`Project`,
-    applies ``# repro: lint-ok[rule]`` waivers and the select/ignore
-    filters, and returns sorted findings (baseline is the caller's concern).
+    Runs every pass over one shared :class:`Project`, applies
+    ``# repro: lint-ok[rule]`` waivers and the select/ignore filters, and
+    returns sorted findings (baseline is the caller's concern).
     """
     config = config or CheckConfig()
     project = Project.from_sources(sources)
@@ -173,18 +147,28 @@ def check_sources(
         )
         for path, line, col, msg in project.parse_errors
     ]
-    findings.extend(check_coherence(project))
-    findings.extend(check_provenance(project))
-    findings.extend(check_vocab(project))
-    findings.extend(check_import_layers(project))
+    for run_pass in PASSES:
+        findings.extend(run_pass(project))
 
     trees = {m.path: m.tree for m in project.modules.values()}
     waivers: Dict[str, Dict[int, FrozenSet[str]]] = {}
     for display, _scope, source in sources:
         waivers[display] = suppressions(source)
         tree = trees.get(display)
-        skip = string_literal_lines(tree) if tree is not None else set()
-        findings.extend(_unknown_waivers(display, waivers[display], skip))
+        findings.extend(
+            Finding(
+                path=display, line=line, col=1, rule="unknown-waiver",
+                message=(
+                    f"lint-ok marker waives unknown rule {rule!r} — it "
+                    "suppresses nothing; fix the name or drop it"
+                ),
+            )
+            for line, rule in unknown_waiver_rules(
+                waivers[display],
+                RULES,
+                skip_lines=string_literal_lines(tree) if tree else set(),
+            )
+        )
 
     kept = [
         f
@@ -201,18 +185,7 @@ def check_paths(
     """Analyze every ``*.py`` file under ``paths``."""
     if config is None:
         config = CheckConfig.load(paths[0] if paths else None)
-    sources: List[Tuple[str, Path, str]] = []
-    for root in paths:
-        root = Path(root)
-        if not root.exists():
-            raise FileNotFoundError(f"no such path: {root}")
-        base = root if root.is_dir() else root.parent
-        for path in _iter_python_files(root):
-            if config.is_excluded(path.resolve()):
-                continue
-            rel = path.relative_to(base)
-            sources.append((str(path), rel, path.read_text(encoding="utf-8")))
-    return check_sources(sources, config)
+    return check_sources(read_sources(paths), config)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -275,7 +248,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
 
     paths = [Path(p) for p in args.paths]
-    config = CheckConfig.load(paths[0])
+    try:
+        config = CheckConfig.load(paths[0])
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     if args.select:
         config = dataclasses.replace(
             config,

@@ -4,12 +4,13 @@ The repo keeps several string vocabularies closed so traces aggregate and
 counters never silently fork: decline/failure/node-down reasons
 (``*_REASONS`` tuples in ``repro.trace.events``), write-ahead journal kinds
 (``JOURNAL_KINDS`` in ``repro.engine.journal``) and the class-level ``type``
-tags of the trace-event hierarchy.  Unlike the per-module ``unknown-reason``
-lint rule this pass is whole-program and runs the *reverse* direction too:
+tags of the trace-event hierarchy.  The pass is whole-program and runs
+both directions:
 
 * ``vocab-unknown`` — a string literal consumed at a known vocabulary
-  use-site (``note_decline``, ``journal_write``, ``JournalEntry(kind=...)``,
-  ``.type ==``/``.kind ==`` comparisons, ...) that is not a declared member;
+  use-site (``note_decline``, ``job.fail``, ``journal_write``,
+  ``JournalEntry(kind=...)``, ``.type ==``/``.kind ==`` comparisons, ...)
+  that is not a declared member;
 * ``vocab-unused`` — a declared member that nothing in the project ever
   uses: its constant name is never loaded outside its definition, its
   string value never appears at any use-site or literal, and (for event
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.check.findings import Finding
-from repro.analysis.check.project import ModuleInfo, Project
+from repro.analysis.check.project import ModuleInfo, Project, callee_name
 
 __all__ = ["check_vocab"]
 
@@ -37,9 +38,13 @@ _VOCAB_SUFFIXES = ("_REASONS", "_KINDS")
 #: synthetic vocabulary of trace-event ``type`` tags.
 _EVENT_VOCAB = "EVENT_TYPES"
 
-#: call-site name -> (positional index, keyword name, vocabulary name).
+#: call-site name -> (positional index, keyword name, vocabulary name).  A
+#: site without a keyword is checked only when called with exactly one
+#: positional argument: ``job.fail("reason")`` is the only string-taking
+#: ``fail`` overload.
 _CALL_SITES = {
     "note_decline": (0, "reason", "DECLINE_REASONS"),
+    "fail": (0, None, "FAILURE_REASONS"),
     "offer_declined": (1, "reason", "DECLINE_REASONS"),
     "Decline": (None, "reason", "DECLINE_REASONS"),
     "AttemptFailed": (None, "reason", "FAILURE_REASONS"),
@@ -133,15 +138,13 @@ def _collect_vocabularies(project: Project) -> Dict[str, _Vocabulary]:
                     )
                     lines.add(line)
     # the trace-event type-tag hierarchy: subclasses of a TraceEvent root
+    # (whose own "event" tag is a placeholder)
     event_vocab = _Vocabulary(_EVENT_VOCAB)
+    events = project.descendants("TraceEvent") - {"TraceEvent"}
     for name, infos in project.classes.items():
+        if name not in events:
+            continue
         for info in infos:
-            if name != "TraceEvent" and not _descends_from(
-                project, name, "TraceEvent"
-            ):
-                continue
-            if name == "TraceEvent":
-                continue  # the root's "event" tag is a placeholder
             tag = info.class_literals.get("type")
             if tag is None or not isinstance(tag[0], str):
                 continue
@@ -156,30 +159,6 @@ def _collect_vocabularies(project: Project) -> Dict[str, _Vocabulary]:
     if event_vocab.members:
         vocabs[_EVENT_VOCAB] = event_vocab
     return vocabs
-
-
-def _descends_from(project: Project, name: str, root: str) -> bool:
-    seen: Set[str] = set()
-    stack = [name]
-    while stack:
-        current = stack.pop()
-        if current == root:
-            return True
-        if current in seen:
-            continue
-        seen.add(current)
-        for info in project.classes.get(current, []):
-            stack.extend(info.bases)
-    return False
-
-
-def _callee(call: ast.Call) -> Optional[str]:
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
 
 
 def _literal(node: Optional[ast.expr]) -> Optional[str]:
@@ -211,17 +190,18 @@ def check_vocab(project: Project) -> List[Finding]:
     for module in project.modules.values():
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
-                name = _callee(node)
+                name = callee_name(node)
                 site = _CALL_SITES.get(name) if name else None
                 if site is not None:
                     pos, kw, vocab_name = site
                     arg: Optional[ast.expr] = None
                     for keyword in node.keywords:
-                        if keyword.arg == kw:
+                        if kw is not None and keyword.arg == kw:
                             arg = keyword.value
                             break
                     if arg is None and pos is not None and len(node.args) > pos:
-                        arg = node.args[pos]
+                        if kw is not None or len(node.args) == 1:
+                            arg = node.args[pos]
                     value = _literal(arg)
                     vocab = vocabs.get(vocab_name)
                     if value is not None and vocab is not None:

@@ -7,8 +7,7 @@ Usage::
     python -m repro.cli table3 --scenario nas
     python -m repro.cli all                 # every artefact in sequence
     repro fig7                              # installed entry point
-    repro lint src                          # static correctness checks
-    repro check src                         # whole-program dataflow analysis
+    repro check src                         # static analysis (all passes)
     repro check --format sarif src          # ... machine-readable, for CI
     repro fig4 --check-invariants           # runtime invariant checking
     repro trace out.json                    # one traced run -> Perfetto JSON
@@ -853,13 +852,9 @@ COMMANDS: Dict[str, Callable] = {
 def main(argv: List[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "lint":
-        # the lint suite has its own argument surface (paths, --list-rules)
-        from repro.lint.runner import main as lint_main
-
-        return lint_main(argv[1:])
-    if argv and argv[0] == "check":
-        # whole-program analyzer: cache coherence, RNG provenance, vocabularies
+    if argv and argv[0] in ("lint", "check"):
+        if argv[0] == "lint":
+            print("repro lint is deprecated; use repro check", file=sys.stderr)
         from repro.analysis.check.runner import main as check_main
 
         return check_main(argv[1:])
@@ -886,7 +881,7 @@ def main(argv: List[str] | None = None) -> int:
         "experiment",
         choices=[*COMMANDS, "all"],
         help="which paper artefact to regenerate "
-        "(or `lint`/`check`/`trace`/`run`/`report`/`bench`/`chaos`/"
+        "(or `check`/`trace`/`run`/`report`/`bench`/`chaos`/"
         "`profile`/`sweep`)",
     )
     parser.add_argument(

@@ -1,6 +1,7 @@
-"""Runtime invariant checking — the dynamic counterpart of :mod:`repro.lint`.
+"""Runtime invariant checking — the dynamic counterpart of ``repro check``.
 
-The static linter catches hazards visible in the source; this module
+The static analyzer (:mod:`repro.analysis.check`) catches hazards visible
+in the source; this module
 asserts, while a simulation is actually running, the properties every
 figure of the paper silently assumes:
 

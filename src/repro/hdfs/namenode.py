@@ -45,8 +45,8 @@ class NameNode:
         Random generator driving placement decisions.  Required: every
         stream must be injected from the run's single ``SeedSequence``
         fan-out — a baked-in default seed would silently correlate
-        placement with other subsystems (enforced by the ``hidden-seed``
-        lint rule).
+        placement with other subsystems (enforced by the
+        ``rng-constant-seed`` rule of ``repro check``).
     block_size:
         Default block size for :meth:`create_file` (128 MB, as in the
         paper's example).

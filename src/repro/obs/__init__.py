@@ -16,7 +16,8 @@
 - :mod:`repro.obs.dashboard` — ASCII dashboard renderer for ``repro report``.
 - :mod:`repro.obs.profile` — the wall-time profiler behind ``repro profile``
   (the one deliberately *non*-deterministic module: it reads the host
-  clock, which is why ``obs`` is not in the lint deterministic-dirs list).
+  clock, which is why ``obs`` is not a deterministic package of
+  ``repro check``).
 
 Everything here is stdlib+numpy only and imports nothing from the rest of
 ``repro`` — the engine depends on ``obs``, never the reverse — so the

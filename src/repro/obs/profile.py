@@ -12,7 +12,7 @@ attribution table sums to (at most) the run's wall time instead of
 double-counting.
 
 This is the one ``repro.obs`` module that reads the host clock — which
-is exactly why ``obs`` is *not* in the lint ``deterministic-dirs`` list
+is exactly why ``obs`` is *not* a ``repro check`` deterministic package
 and why :data:`ACTIVE` is ``None`` unless a run is explicitly profiled:
 the disabled path costs one global read per event and the simulated
 behaviour is never affected either way.

@@ -146,7 +146,7 @@ class TaskScheduler:
     lets stateful schedulers attach per-job bookkeeping (cost caches, skip
     counters).
 
-    Contract (machine-checked by ``repro lint``): every concrete subclass
+    Contract (machine-checked by ``repro check``): every concrete subclass
     implements both hooks, overrides the class-level ``name``, is exported
     from :mod:`repro.schedulers`, and treats the shared
     :class:`SchedulerContext` as read-only.

@@ -26,7 +26,6 @@ PACKAGES = [
     "repro.trace",
     "repro.obs",
     "repro.faults",
-    "repro.lint",
 ]
 
 

@@ -1,10 +1,11 @@
-"""Tests for the ``repro.analysis.check`` whole-program analyzer.
+"""Tests for the ``repro.analysis.check`` analyzer.
 
-Mirrors ``test_lint.py``'s structure: each pass gets seeded-defect fixtures
-(the rule fires on the hazard it documents, with a stable rule id) and
-clean counterparts, plus baseline-ratchet, report-format and CLI coverage.
-Fixtures go through the in-memory ``check_sources`` entry point as
-``(display_path, scope_path, source)`` triples.
+Each whole-program pass gets seeded-defect fixtures (the rule fires on the
+hazard it documents, with a stable rule id) and clean counterparts, plus
+configuration, baseline-ratchet, report-format and CLI coverage.  The
+per-module passes are covered in ``test_lint.py``.  Fixtures go through
+the in-memory ``check_sources`` entry point as ``(display_path,
+scope_path, source)`` triples; the scope path names the module.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ def run_check_many(named_sources, config=None):
 
 def rules(findings):
     return sorted({f.rule for f in findings})
+
+
+def at(findings):
+    return [(f.rule, f.line, f.col) for f in findings]
 
 
 # ----------------------------------------------------------------------
@@ -130,6 +135,30 @@ class TestSeededDefects:
 # ----------------------------------------------------------------------
 # cache-coherence
 # ----------------------------------------------------------------------
+UNWATCHED_INPUT = (
+    '_WATCHED = frozenset({"alive"})\n'
+    "\n"
+    "class Node:\n"
+    "    def __init__(self):\n"
+    "        self.alive = True\n"
+    "        self.load = 0\n"
+    "\n"
+    "    def __setattr__(self, name, value):\n"
+    "        if name in _WATCHED:\n"
+    "            pass\n"
+    "        object.__setattr__(self, name, value)\n"
+    "\n"
+    "    def overload(self):\n"
+    "        self.load = 1\n"
+    "\n"
+    "class View:\n"
+    '    @cached_on("epoch", inputs=("Node.load",),\n'
+    '               watcher="Node.__setattr__")\n'
+    "    def free(self):\n"
+    "        return 0\n"
+)
+
+
 class TestCoherence:
     def test_bump_on_every_path_passes(self):
         src = MISSED_BUMP.replace(
@@ -272,29 +301,7 @@ class TestCoherence:
         assert run_check(src) == []
 
     def test_unwatched_mutated_input_flagged(self):
-        src = (
-            '_WATCHED = frozenset({"alive"})\n'
-            "\n"
-            "class Node:\n"
-            "    def __init__(self):\n"
-            "        self.alive = True\n"
-            "        self.load = 0\n"
-            "\n"
-            "    def __setattr__(self, name, value):\n"
-            "        if name in _WATCHED:\n"
-            "            pass\n"
-            "        object.__setattr__(self, name, value)\n"
-            "\n"
-            "    def overload(self):\n"
-            "        self.load = 1\n"
-            "\n"
-            "class View:\n"
-            '    @cached_on("epoch", inputs=("Node.load",),\n'
-            '               watcher="Node.__setattr__")\n'
-            "    def free(self):\n"
-            "        return 0\n"
-        )
-        fs = run_check(src)
+        fs = run_check(UNWATCHED_INPUT)
         assert rules(fs) == ["cache-unwatched-input"]
         assert "Node.load" in fs[0].message
 
@@ -414,6 +421,21 @@ class TestProvenance:
         )
         assert rules(run_check(src)) == ["rng-stream-count"]
 
+    def test_formerly_duplicated_rng_defects_reported_once(self):
+        src = (
+            "import numpy as np\n"
+            "from numpy.random import SeedSequence\n"
+            "a = np.random.default_rng()\n"
+            "b = np.random.default_rng(42)\n"
+            "c = SeedSequence(7)\n"
+            "d = np.random.rand()\n"
+        )
+        fs = run_check(src, name="repro/engine/mod.py")
+        assert at(fs) == [
+            ("rng-ambient", 3, 5), ("rng-constant-seed", 4, 5),
+            ("rng-constant-seed", 5, 5), ("rng-ambient", 6, 5),
+        ]
+
     def test_duplicate_purpose_flagged(self):
         fs = run_check('RNG_STREAMS = {0: "faults", 1: "faults"}\n')
         assert rules(fs) == ["rng-duplicate-stream"]
@@ -449,6 +471,23 @@ class TestVocab:
             '    ctx.note_decline("node_dead")\n'
         )
         assert run_check(src) == []
+
+    def test_job_fail_is_a_failure_reason_site(self):
+        events = (
+            'DECLINE_REASONS = ("below_pmin",)\n'
+            'FAILURE_REASONS = ("attempts_exhausted",)\n'
+        )
+        src = (
+            "def f(job, ctx):\n"
+            '    job.fail("bogus_reason")\n'
+            '    ctx.note_decline("bogus_decline")\n'
+        )
+        fs = run_check_many(
+            [("repro/trace/events.py", events), ("mod.py", src)],
+            CheckConfig(select=("vocab-unknown",)),
+        )
+        assert [(f.path, f.line) for f in fs] == [("mod.py", 2), ("mod.py", 3)]
+        assert "FAILURE_REASONS" in fs[0].message
 
     def test_constant_name_load_marks_used(self):
         src = VOCAB_DEFS + (
@@ -622,6 +661,20 @@ class TestImportLayers:
     def test_modules_outside_the_package_are_skipped(self):
         assert run_check(UPWARD_IMPORT, name="tools/script.py") == []
 
+    def test_sub_path_invocations_agree(self, tmp_path):
+        engine = tmp_path / "src" / "repro" / "engine"
+        engine.mkdir(parents=True)
+        for pkg in (engine.parent, engine):
+            (pkg / "__init__.py").write_text("", encoding="utf-8")
+        task = engine / "task.py"
+        task.write_text("import repro.experiments\n", encoding="utf-8")
+        for target in (tmp_path / "src", engine, task):
+            fs = check_paths([target], CheckConfig())
+            assert [(f.rule, f.path, f.line) for f in fs] == [
+                ("import-layer", str(task), 1)
+            ]
+            assert "repro.engine.task (engine layer)" in fs[0].message
+
     def test_layer_lookup_longest_entry_wins(self):
         from repro.analysis.check.layers import IMPORT_LAYERS, layer_of
 
@@ -678,6 +731,84 @@ class TestFiltering:
         config = CheckConfig(select=("vocab-unused",))
         fs = run_check("def broken(:\n", config=config)
         assert [f.rule for f in fs] == ["parse-error"]
+
+
+class TestConfig:
+    def test_stale_lint_table_rejected(self, tmp_path, capsys):
+        pyproject = tmp_path / "pyproject.toml"
+        pyproject.write_text(
+            '[tool.repro.lint]\nexclude = ["repro/units.py"]\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match=r"\[tool\.repro\.lint\]") as err:
+            CheckConfig.load(tmp_path)
+        assert str(pyproject) in str(err.value)
+        (tmp_path / "mod.py").write_text("x = 1\n", encoding="utf-8")
+        assert check_main([str(tmp_path / "mod.py")]) == 2
+        assert str(pyproject) in capsys.readouterr().err
+
+    def test_unknown_check_key_rejected(self, tmp_path):
+        pyproject = tmp_path / "pyproject.toml"
+        pyproject.write_text(
+            '[tool.repro.check]\nbaseline = "B.json"\nselect = ["rng-ambient"]\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match="'select'") as err:
+            CheckConfig.load(tmp_path)
+        assert str(pyproject) in str(err.value)
+
+
+# ----------------------------------------------------------------------
+# every rule id has a defect fixture that reports it
+# ----------------------------------------------------------------------
+BARE_SCHEDULER = [
+    ("repro/schedulers/__init__.py", "__all__ = []\n"),
+    ("repro/schedulers/mine.py", "class Mine(TaskScheduler):\n    pass\n"),
+]
+
+RULE_FIXTURES = {
+    "cache-missing-bump": [("mod.py", MISSED_BUMP)],
+    "cache-unwatched-input": [("mod.py", UNWATCHED_INPUT)],
+    "cache-decl-unresolved": [(
+        "mod.py",
+        'class C:\n    @cached_on("v", reference="_nope")\n'
+        "    def m(self):\n        return 0\n",
+    )],
+    "rng-ambient": [("mod.py", AMBIENT_RNG)],
+    "rng-constant-seed": [("mod.py", "import numpy as np\nr = np.random.default_rng(4)\n")],
+    "rng-unprovenanced": [(
+        "mod.py",
+        "import numpy as np\ndef f(n):\n    return np.random.default_rng(n)\n",
+    )],
+    "rng-duplicate-stream": [("mod.py", DUPLICATE_STREAM)],
+    "rng-stream-count": [("mod.py", "def f(ss):\n    a, b, c = ss.spawn(2)\n")],
+    "vocab-unknown": [("mod.py", VOCAB_DEFS + 'ctx.note_decline("below_pmim")\n')],
+    "vocab-unused": [("mod.py", UNUSED_REASON)],
+    "import-layer": [("repro/cluster/bad.py", UPWARD_IMPORT)],
+    "wallclock": [("repro/engine/mod.py", "import time\nt = time.time()\n")],
+    "global-rng": [("repro/engine/mod.py", "import random\nx = random.random()\n")],
+    "magic-unit": [("mod.py", "x = b / 1e9\n")],
+    "no-print": [("mod.py", 'print("x")\n')],
+    "scheduler-hooks": BARE_SCHEDULER,
+    "scheduler-name": BARE_SCHEDULER,
+    "scheduler-export": BARE_SCHEDULER,
+    "ctx-mutation": [(
+        "mod.py",
+        "class S(TaskScheduler):\n    def select_map(self, node, job, ctx):\n"
+        "        ctx.x = 1\n",
+    )],
+    "parse-error": [("mod.py", "def broken(:\n")],
+    "unknown-waiver": [("mod.py", "x = 1  # repro: lint-ok[nope]\n")],
+}
+
+
+def test_every_rule_is_reported_by_a_fixture():
+    assert sorted(RULE_FIXTURES) == sorted(RULES)
+    silent = [
+        rule for rule, fixture in RULE_FIXTURES.items()
+        if rule not in rules(run_check_many(fixture))
+    ]
+    assert silent == []
 
 
 # ----------------------------------------------------------------------

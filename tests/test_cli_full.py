@@ -95,8 +95,9 @@ class TestSweepCommands:
 
 
 class TestStaticAnalysisCommands:
-    """`repro lint` / `repro check` dispatch and their shared exit-code
-    contract: 0 clean, 1 findings, 2 usage-or-parse-error."""
+    """`repro check` dispatch and its exit-code contract: 0 clean,
+    1 findings, 2 usage-or-parse-error.  The deprecated `repro lint` alias
+    forwards to `check` with the same exit codes."""
 
     def test_lint_clean_tree_exits_zero(self, capsys):
         assert main(["lint", str(SRC)]) == 0
@@ -139,7 +140,7 @@ class TestStaticAnalysisCommands:
             argv.insert(1, "--no-baseline")
         assert main(argv) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["tool"] == f"repro-{command}"
+        assert doc["tool"] == "repro-check"
 
     def test_check_sarif_format_supported(self, capsys):
         assert main(

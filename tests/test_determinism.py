@@ -5,8 +5,8 @@ only sound if a run is a pure function of ``(scenario, scheduler, seed)``.
 Two independently constructed simulations with equal seeds must therefore
 agree on every collected metric, for each scheduler family — including the
 job-level Capacity scheduler combination.  The static side of this
-guarantee is enforced by ``repro lint`` (global-rng / unseeded-rng /
-hidden-seed); this is the dynamic side.
+guarantee is enforced by ``repro check`` (global-rng / rng-ambient /
+rng-constant-seed / rng-unprovenanced); this is the dynamic side.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
-"""Tests for the ``repro.lint`` static-analysis suite.
+"""Per-module rules of ``repro check`` and the deprecated ``repro lint`` alias.
 
-Every rule gets at least one positive fixture (the rule fires on the
-hazard it documents) and one negative fixture (the idiomatic replacement
-passes), plus suppression, configuration and CLI coverage.  The in-memory
-``lint_sources`` entry point keeps the fixtures self-contained: each is a
-``(display_path, scope_path, source)`` triple, where the scope path decides
-whether the file counts as simulation-critical.
+These rules (determinism, unit and output hygiene, scheduler contracts,
+closed reason vocabularies) once ran in a separate ``repro.lint`` suite;
+they are now passes of the one analyzer.  Each rule keeps its positive
+fixtures — reported at the same ``path:line:col`` — and its negative
+fixtures.  The retired ids map as ``unseeded-rng`` -> ``rng-ambient``,
+``hidden-seed`` -> ``rng-constant-seed`` and ``unknown-reason`` ->
+``vocab-unknown``, and numpy's global RNG is ``rng-ambient`` everywhere.
+Fixtures are ``(display_path, scope_path, source)`` triples; the scope path
+names the module, which decides whether it is simulation-critical.
 """
 
 from __future__ import annotations
@@ -20,49 +23,50 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.lint import (
-    ALL_RULES,
-    LintConfig,
-    Violation,
-    lint_paths,
-    lint_sources,
-)
-from repro.lint.config import DEFAULT_DETERMINISTIC_DIRS
-from repro.lint.runner import main as lint_main
-from repro.lint.suppress import suppressions, unknown_waiver_rules
+from repro.analysis.check import RULES, CheckConfig, Finding, check_paths, check_sources
+from repro.analysis.check.suppress import suppressions, unknown_waiver_rules
+from repro.cli import main as cli_main
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
 
-#: scope inside a deterministic sub-package — determinism rules apply.
+#: a module inside a deterministic package — determinism rules apply.
 ENGINE = Path("repro/engine/mod.py")
-#: scope outside the deterministic sub-packages — they do not.
+#: a module outside the deterministic packages — they do not.
 DRIVER = Path("repro/analysis/mod.py")
 
 
-def run_lint(source, scope=ENGINE, config=None):
-    return lint_sources([("mod.py", scope, source)], config)
+def run_lint(source, scope=ENGINE, config=None, extra=()):
+    return check_sources([("mod.py", scope, source), *extra], config)
 
 
-def rules(violations):
-    return sorted({v.rule for v in violations})
+def rules(findings):
+    return sorted({f.rule for f in findings})
+
+
+def at(findings):
+    return [(f.rule, f.line, f.col) for f in findings]
+
+
+def lint_main(argv):
+    return cli_main(["lint", *argv])
 
 
 # ----------------------------------------------------------------------
-# global-rng
+# global-rng (stdlib random) and numpy's global RNG (rng-ambient)
 # ----------------------------------------------------------------------
 class TestGlobalRng:
     def test_stdlib_random_flagged(self):
         src = "import random\nx = random.random()\n"
-        assert rules(run_lint(src)) == ["global-rng"]
+        assert at(run_lint(src)) == [("global-rng", 2, 5)]
 
     def test_numpy_global_state_flagged(self):
         src = "import numpy as np\nnp.random.seed(42)\ny = np.random.rand(3)\n"
-        assert [v.rule for v in run_lint(src)] == ["global-rng", "global-rng"]
+        assert at(run_lint(src)) == [("rng-ambient", 2, 1), ("rng-ambient", 3, 5)]
 
     def test_from_import_alias_flagged(self):
         src = "from numpy.random import shuffle as sh\nsh([1, 2])\n"
-        assert rules(run_lint(src)) == ["global-rng"]
+        assert at(run_lint(src)) == [("rng-ambient", 2, 1)]
 
     def test_injected_generator_ok(self):
         src = (
@@ -83,15 +87,15 @@ class TestGlobalRng:
 class TestWallclock:
     def test_time_time_flagged(self):
         src = "import time\nt = time.time()\n"
-        assert rules(run_lint(src)) == ["wallclock"]
+        assert at(run_lint(src)) == [("wallclock", 2, 5)]
 
     def test_datetime_now_flagged(self):
         src = "from datetime import datetime\nd = datetime.now()\n"
-        assert rules(run_lint(src)) == ["wallclock"]
+        assert at(run_lint(src)) == [("wallclock", 2, 5)]
 
     def test_perf_counter_from_import_flagged(self):
         src = "from time import perf_counter\nt = perf_counter()\n"
-        assert rules(run_lint(src)) == ["wallclock"]
+        assert at(run_lint(src)) == [("wallclock", 2, 5)]
 
     def test_simulated_clock_ok(self):
         src = "def f(sim):\n    return sim.now\n"
@@ -103,20 +107,20 @@ class TestWallclock:
 
 
 # ----------------------------------------------------------------------
-# unseeded-rng / hidden-seed
+# generator construction: rng-ambient / rng-constant-seed, everywhere
 # ----------------------------------------------------------------------
 class TestRngConstruction:
     def test_unseeded_default_rng_flagged_even_outside_scope(self):
         src = "import numpy as np\nrng = np.random.default_rng()\n"
-        assert rules(run_lint(src, scope=DRIVER)) == ["unseeded-rng"]
+        assert at(run_lint(src, scope=DRIVER)) == [("rng-ambient", 2, 7)]
 
     def test_constant_seed_flagged_in_library_code(self):
         src = "import numpy as np\nrng = np.random.default_rng(0)\n"
-        assert rules(run_lint(src)) == ["hidden-seed"]
+        assert at(run_lint(src)) == [("rng-constant-seed", 2, 7)]
 
     def test_constant_seed_seedsequence_flagged(self):
         src = "from numpy.random import SeedSequence\nss = SeedSequence(7)\n"
-        assert rules(run_lint(src)) == ["hidden-seed"]
+        assert at(run_lint(src)) == [("rng-constant-seed", 2, 6)]
 
     def test_injected_seed_ok(self):
         src = (
@@ -126,9 +130,9 @@ class TestRngConstruction:
         )
         assert run_lint(src) == []
 
-    def test_constant_seed_ok_outside_library_scope(self):
+    def test_constant_seed_flagged_outside_library_scope_too(self):
         src = "import numpy as np\nrng = np.random.default_rng(0)\n"
-        assert run_lint(src, scope=DRIVER) == []
+        assert at(run_lint(src, scope=DRIVER)) == [("rng-constant-seed", 2, 7)]
 
 
 # ----------------------------------------------------------------------
@@ -136,17 +140,17 @@ class TestRngConstruction:
 # ----------------------------------------------------------------------
 class TestMagicUnit:
     def test_decimal_factor_flagged(self):
-        assert rules(run_lint("x = b / 1e9\n")) == ["magic-unit"]
+        assert at(run_lint("x = b / 1e9\n")) == [("magic-unit", 1, 5)]
 
     def test_binary_size_arithmetic_flagged(self):
-        assert rules(run_lint("cap = 128 * 1024 * 1024\n")) == ["magic-unit"]
+        assert at(run_lint("cap = 128 * 1024 * 1024\n")) == [("magic-unit", 1, 7)]
 
     def test_power_and_shift_forms_flagged(self):
-        vs = run_lint("a = 2 ** 30\nb = 1 << 20\nc = 1024 ** 3\n")
-        assert [v.rule for v in vs] == ["magic-unit"] * 3
+        fs = run_lint("a = 2 ** 30\nb = 1 << 20\nc = 1024 ** 3\n")
+        assert at(fs) == [("magic-unit", line, 5) for line in (1, 2, 3)]
 
     def test_applies_outside_deterministic_scope_too(self):
-        assert rules(run_lint("x = 4 * 1e6\n", scope=DRIVER)) == ["magic-unit"]
+        assert at(run_lint("x = 4 * 1e6\n", scope=DRIVER)) == [("magic-unit", 1, 5)]
 
     def test_named_constants_ok(self):
         src = "from repro.units import GB\nx = 5 * GB\n"
@@ -176,7 +180,7 @@ GOOD_SCHEDULER = (
 
 def run_contract(sched_source, exported=()):
     init_src = "__all__ = [" + ", ".join(repr(e) for e in exported) + "]\n"
-    return lint_sources(
+    return check_sources(
         [
             ("schedulers/__init__.py", INIT_SCOPE, init_src),
             ("schedulers/mine.py", SCHED_SCOPE, sched_source),
@@ -190,10 +194,10 @@ class TestSchedulerContracts:
 
     def test_missing_hooks_flagged(self):
         src = 'class MyScheduler(TaskScheduler):\n    name = "mine"\n'
-        vs = run_contract(src, exported=("MyScheduler",))
-        assert [v.rule for v in vs] == ["scheduler-hooks", "scheduler-hooks"]
-        assert "select_map" in vs[0].message
-        assert "select_reduce" in vs[1].message
+        fs = run_contract(src, exported=("MyScheduler",))
+        assert at(fs) == [("scheduler-hooks", 1, 1)] * 2
+        assert "select_map" in fs[0].message
+        assert "select_reduce" in fs[1].message
 
     def test_hooks_inherited_through_chain_ok(self):
         src = GOOD_SCHEDULER + (
@@ -210,59 +214,41 @@ class TestSchedulerContracts:
             "    def select_reduce(self, node, job, ctx):\n"
             "        return None\n"
         )
-        vs = run_contract(src, exported=("MyScheduler",))
-        assert rules(vs) == ["scheduler-name"]
+        fs = run_contract(src, exported=("MyScheduler",))
+        assert at(fs) == [("scheduler-name", 1, 1)]
 
     def test_missing_export_flagged(self):
-        vs = run_contract(GOOD_SCHEDULER, exported=())
-        assert rules(vs) == ["scheduler-export"]
+        fs = run_contract(GOOD_SCHEDULER, exported=())
+        assert at(fs) == [("scheduler-export", 1, 1)]
+        assert fs[0].path == "schedulers/mine.py"
 
     def test_private_subclass_needs_no_export(self):
         src = GOOD_SCHEDULER.replace("MyScheduler", "_Hidden")
         assert run_contract(src) == []
 
     def test_ctx_mutation_flagged(self):
-        src = (
-            "class MyScheduler(TaskScheduler):\n"
-            '    name = "mine"\n'
-            "\n"
-            "    def select_map(self, node, job, ctx):\n"
-            "        ctx.rng = None\n"
-            "        return None\n"
-            "\n"
-            "    def select_reduce(self, node, job, ctx):\n"
-            "        return None\n"
+        src = GOOD_SCHEDULER.replace(
+            "    def select_map(self, node, job, ctx):\n",
+            "    def select_map(self, node, job, ctx):\n        ctx.rng = None\n",
         )
-        vs = run_contract(src, exported=("MyScheduler",))
-        assert rules(vs) == ["ctx-mutation"]
-        assert "ctx.rng" in vs[0].message
+        fs = run_contract(src, exported=("MyScheduler",))
+        assert at(fs) == [("ctx-mutation", 5, 9)]
+        assert "ctx.rng" in fs[0].message
 
     def test_ctx_mutation_by_annotation_flagged(self):
-        src = (
-            "class MyScheduler(TaskScheduler):\n"
-            '    name = "mine"\n'
-            "\n"
+        src = GOOD_SCHEDULER.replace(
+            "    def select_map(self, node, job, ctx):\n",
             "    def select_map(self, node, job, context: SchedulerContext):\n"
-            "        context.tracker = None\n"
-            "        return None\n"
-            "\n"
-            "    def select_reduce(self, node, job, ctx):\n"
-            "        return None\n"
+            "        context.tracker = None\n",
         )
-        vs = run_contract(src, exported=("MyScheduler",))
-        assert rules(vs) == ["ctx-mutation"]
+        fs = run_contract(src, exported=("MyScheduler",))
+        assert at(fs) == [("ctx-mutation", 5, 9)]
 
     def test_ctx_reads_ok(self):
-        src = (
-            "class MyScheduler(TaskScheduler):\n"
-            '    name = "mine"\n'
-            "\n"
+        src = GOOD_SCHEDULER.replace(
+            "    def select_map(self, node, job, ctx):\n",
             "    def select_map(self, node, job, ctx):\n"
-            "        free = ctx.free_map_nodes()\n"
-            "        return None if not free else None\n"
-            "\n"
-            "    def select_reduce(self, node, job, ctx):\n"
-            "        return None\n"
+            "        free = ctx.free_map_nodes()\n",
         )
         assert run_contract(src, exported=("MyScheduler",)) == []
 
@@ -272,21 +258,16 @@ class TestSchedulerContracts:
 # ----------------------------------------------------------------------
 class TestNoPrint:
     def test_print_call_flagged(self):
-        assert rules(run_lint('print("hello")\n')) == ["no-print"]
+        assert at(run_lint('print("hello")\n')) == [("no-print", 1, 1)]
 
     def test_flagged_anywhere_in_the_tree(self):
         src = "def report(x):\n    print(x)\n"
-        assert rules(run_lint(src, scope=DRIVER)) == ["no-print"]
+        assert at(run_lint(src, scope=DRIVER)) == [("no-print", 2, 5)]
 
     def test_excluded_entry_points_may_print(self):
         src = 'print("usage: ...")\n'
-        cli = Path("repro/cli.py")
-        assert run_lint(src, scope=cli) == []
-
-    def test_exclusion_is_configurable(self):
-        config = LintConfig(no_print_exclude=("repro/analysis/mod.py",))
-        assert run_lint('print("x")\n', scope=DRIVER, config=config) == []
-        assert rules(run_lint('print("x")\n', config=config)) == ["no-print"]
+        for entry in ("repro/cli.py", "repro/analysis/check/runner.py"):
+            assert run_lint(src, scope=Path(entry)) == []
 
     def test_shadowed_print_is_not_flagged(self):
         src = "def emit(print):\n    print('x')\n"
@@ -300,18 +281,36 @@ class TestNoPrint:
         assert run_lint(src) == []
 
     def test_pyproject_key_parsed(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(
-            "[tool.repro.lint]\n"
+        """The old ``no-print-exclude`` key is read and rejected, naming
+        the file and the key: the allow-list is a constant of the pass."""
+        pyproject = tmp_path / "pyproject.toml"
+        pyproject.write_text(
+            "[tool.repro.check]\n"
             'no-print-exclude = ["repro/tools/dump.py"]\n',
             encoding="utf-8",
         )
-        config = LintConfig.load(tmp_path)
-        assert config.no_print_exclude == ("repro/tools/dump.py",)
+        with pytest.raises(ValueError, match="no-print-exclude") as err:
+            CheckConfig.load(tmp_path)
+        assert str(pyproject) in str(err.value)
 
 
 # ----------------------------------------------------------------------
-# unknown-reason (closed decline/failure vocabularies)
+# closed decline/failure vocabularies (vocab-unknown), discovered from the
+# analyzed trace/events.py rather than imported
 # ----------------------------------------------------------------------
+EVENTS = (
+    "events.py",
+    Path("repro/trace/events.py"),
+    (SRC / "repro" / "trace" / "events.py").read_text(encoding="utf-8"),
+)
+#: the fixture uses a few members of the live vocabularies, not all
+NO_UNUSED = CheckConfig(ignore=("vocab-unused",))
+
+
+def run_reasons(source, scope=ENGINE, config=NO_UNUSED):
+    return run_lint(source, scope, config, extra=[EVENTS])
+
+
 class TestUnknownReason:
     def test_vocabulary_literals_pass(self):
         src = (
@@ -322,16 +321,16 @@ class TestUnknownReason:
             'NodeDown(t=0.0, node="n", reason="expired", killed_attempts=0, '
             "lost_maps=0)\n"
         )
-        assert run_lint(src) == []
+        assert run_reasons(src) == []
 
     def test_typo_in_decline_reason_flagged(self):
-        vs = run_lint('ctx.note_decline("below_pmim")\n')
-        assert rules(vs) == ["unknown-reason"]
-        assert "DECLINE_REASONS" in vs[0].message
+        fs = run_reasons('ctx.note_decline("below_pmim")\n')
+        assert at(fs) == [("vocab-unknown", 1, 18)]
+        assert "DECLINE_REASONS" in fs[0].message
 
     def test_offer_declined_positional_reason_checked(self):
-        vs = run_lint('collector.offer_declined("map", "blacklistd")\n')
-        assert rules(vs) == ["unknown-reason"]
+        fs = run_reasons('collector.offer_declined("map", "blacklistd")\n')
+        assert at(fs) == [("vocab-unknown", 1, 33)]
 
     def test_event_keyword_reasons_checked(self):
         src = (
@@ -341,30 +340,35 @@ class TestUnknownReason:
             'NodeDown(t=0.0, node="n", reason="vanished", killed_attempts=0, '
             "lost_maps=0)\n"
         )
-        vs = run_lint(src)
-        assert [v.rule for v in vs] == ["unknown-reason"] * 3
+        fs = run_reasons(src)
+        assert at(fs) == [
+            ("vocab-unknown", 1, 77), ("vocab-unknown", 2, 35),
+            ("vocab-unknown", 3, 34),
+        ]
 
     def test_job_fail_string_literal_checked(self):
-        vs = run_lint('job.fail("out_of_retries")\n')
-        assert rules(vs) == ["unknown-reason"]
-        # fail() with a non-string (or no) argument is someone else's fail()
-        assert run_lint("attempt.fail()\n") == []
-        assert run_lint("thing.fail(5)\n") == []
+        fs = run_reasons('job.fail("out_of_retries")\n')
+        assert at(fs) == [("vocab-unknown", 1, 10)]
+        assert "FAILURE_REASONS" in fs[0].message
+        # fail() with a non-string, no or several arguments is another fail()
+        assert run_reasons("attempt.fail()\n") == []
+        assert run_reasons("thing.fail(5)\n") == []
+        assert run_reasons('thing.fail("a", "b")\n') == []
 
     def test_dynamic_reasons_out_of_scope(self):
-        assert run_lint("ctx.note_decline(reason_var)\n") == []
-        assert run_lint("ctx.note_decline(BELOW_PMIN)\n") == []
+        assert run_reasons("ctx.note_decline(reason_var)\n") == []
+        assert run_reasons("ctx.note_decline(BELOW_PMIN)\n") == []
 
     def test_applies_outside_deterministic_scope(self):
         # the vocabulary is global: drivers and exporters must honour it too
-        vs = run_lint('ctx.note_decline("nonsense")\n', scope=DRIVER)
-        assert rules(vs) == ["unknown-reason"]
+        fs = run_reasons('ctx.note_decline("nonsense")\n', scope=DRIVER)
+        assert rules(fs) == ["vocab-unknown"]
 
     def test_waiver_and_ignore(self):
-        waived = 'ctx.note_decline("custom")  # repro: lint-ok[unknown-reason]\n'
-        assert run_lint(waived) == []
-        config = LintConfig(ignore=("unknown-reason",))
-        assert run_lint('ctx.note_decline("custom")\n', config=config) == []
+        waived = 'ctx.note_decline("custom")  # repro: lint-ok[vocab-unknown]\n'
+        assert run_reasons(waived) == []
+        config = CheckConfig(ignore=("vocab-unknown", "vocab-unused"))
+        assert run_reasons('ctx.note_decline("custom")\n', config=config) == []
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +391,7 @@ class TestSuppression:
 # ----------------------------------------------------------------------
 # the suppression parser, property-tested
 # ----------------------------------------------------------------------
-RULE_NAME = st.sampled_from(sorted(ALL_RULES))
+RULE_NAME = st.sampled_from(sorted(RULES))
 WS = st.text(alphabet=" \t", max_size=3)
 
 
@@ -438,29 +442,22 @@ class TestSuppressionParser:
            unknown=st.text(
                alphabet="abcdefghijklmnopqrstuvwxyz-",
                min_size=1, max_size=12,
-           ).filter(lambda s: s not in ALL_RULES
-                    and s != "parse-error"
-                    and not s.startswith(("cache-", "rng-", "vocab-"))))
+           ).filter(lambda s: s not in RULES))
     def test_unknown_rule_is_reported_known_are_not(self, known, unknown):
         waived = {1: frozenset(known + [unknown])}
-        flagged = unknown_waiver_rules(waived, set(ALL_RULES) | {"parse-error"})
-        assert flagged == [(1, unknown)]
-
-    @given(prefix=st.sampled_from(["cache-", "rng-", "vocab-"]),
-           tail=st.text(alphabet="abcdefghijklmnopqrstuvwxyz",
-                        min_size=1, max_size=8))
-    def test_sibling_command_prefixes_left_alone(self, prefix, tail):
-        waived = {1: frozenset([prefix + tail])}
-        assert unknown_waiver_rules(waived, set(ALL_RULES)) == []
+        assert unknown_waiver_rules(waived, RULES) == [(1, unknown)]
 
     def test_unknown_rule_warning_via_lint(self):
-        vs = run_lint("x = 1  # repro: lint-ok[magic-unti]\n")
-        assert rules(vs) == ["unknown-waiver"]
-        assert "magic-unti" in vs[0].message
+        fs = run_lint("x = 1  # repro: lint-ok[magic-unti]\n")
+        assert at(fs) == [("unknown-waiver", 1, 1)]
+        assert "magic-unti" in fs[0].message
 
-    def test_check_family_waivers_not_flagged_by_lint(self):
-        src = "x = 1  # repro: lint-ok[cache-missing-bump,rng-ambient]\n"
-        assert run_lint(src) == []
+    def test_check_family_waivers_not_flagged_by_lint(self, tmp_path, capsys):
+        (tmp_path / "mod.py").write_text(
+            "x = 1  # repro: lint-ok[cache-missing-bump,rng-ambient]\n",
+            encoding="utf-8",
+        )
+        assert lint_main(["--no-baseline", str(tmp_path)]) == 0
 
     def test_marker_mentioned_in_docstring_not_validated(self):
         src = '"""Use # repro: lint-ok[whatever-rule] to waive."""\n'
@@ -468,13 +465,13 @@ class TestSuppressionParser:
 
 
 def test_syntax_error_reported_as_parse_error():
-    vs = run_lint("def broken(:\n")
-    assert [v.rule for v in vs] == ["parse-error"]
+    fs = run_lint("def broken(:\n")
+    assert [f.rule for f in fs] == ["parse-error"]
 
 
 def test_violation_format_and_ordering():
-    a = Violation(path="a.py", line=3, col=7, rule="magic-unit", message="m")
-    b = Violation(path="a.py", line=9, col=1, rule="wallclock", message="w")
+    a = Finding(path="a.py", line=3, col=7, rule="magic-unit", message="m")
+    b = Finding(path="a.py", line=9, col=1, rule="wallclock", message="w")
     assert a.format() == "a.py:3:7: [magic-unit] m"
     assert sorted([b, a]) == [a, b]
 
@@ -484,169 +481,133 @@ def test_violation_format_and_ordering():
 # ----------------------------------------------------------------------
 class TestConfig:
     def test_select_restricts_rules(self):
-        config = LintConfig(select=("magic-unit",))
+        config = CheckConfig(select=("magic-unit",))
         src = "import time\nt = time.time()\nx = b / 1e9\n"
         assert rules(run_lint(src, config=config)) == ["magic-unit"]
 
     def test_ignore_drops_rule(self):
-        config = LintConfig(ignore=("magic-unit",))
+        config = CheckConfig(ignore=("magic-unit",))
         assert run_lint("x = b / 1e9\n", config=config) == []
-
-    def test_deterministic_dirs_configurable(self):
-        config = LintConfig(deterministic_dirs=("analysis",))
-        src = "import time\nt = time.time()\n"
-        assert rules(run_lint(src, scope=DRIVER, config=config)) == ["wallclock"]
-        assert run_lint(src, scope=ENGINE, config=config) == []
 
     def test_pyproject_table_parsed(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text(
-            "[tool.repro.lint]\n"
-            'deterministic-dirs = ["engine"]\n'
-            'ignore = ["magic-unit"]\n',
-            encoding="utf-8",
+            '[tool.repro.check]\nbaseline = "BASE.json"\n', encoding="utf-8"
         )
-        config = LintConfig.load(tmp_path)
-        assert config.deterministic_dirs == ("engine",)
-        assert config.ignore == ("magic-unit",)
+        config = CheckConfig.load(tmp_path)
+        assert config.baseline_path() == tmp_path / "BASE.json"
         assert config.source == str(tmp_path / "pyproject.toml")
 
     def test_repo_pyproject_defines_the_table(self):
-        config = LintConfig.load(SRC)
+        config = CheckConfig.load(SRC)
         assert config.source.endswith("pyproject.toml")
-        assert config.deterministic_dirs == DEFAULT_DETERMINISTIC_DIRS
+        assert config.baseline_path() == REPO / "CHECK_BASELINE.json"
         assert config.root == REPO
 
 
 # ----------------------------------------------------------------------
-# CLI/pyproject symmetry: excludes and deterministic scope are resolved
-# against the project root, not the invocation directory (regression)
+# module identity comes from the package layout, so scope and the
+# repro/units.py exemption do not depend on the invocation path
 # ----------------------------------------------------------------------
 class TestConfigPathSymmetry:
     @pytest.fixture
     def project(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(
-            "[tool.repro.lint]\n"
-            'deterministic-dirs = ["engine"]\n'
-            'exclude = ["pkg/engine/generated.py"]\n',
-            encoding="utf-8",
-        )
-        pkg = tmp_path / "pkg" / "engine"
-        pkg.mkdir(parents=True)
-        (pkg / "clock.py").write_text(
+        engine = tmp_path / "src" / "repro" / "engine"
+        engine.mkdir(parents=True)
+        for pkg in (engine.parent, engine):
+            (pkg / "__init__.py").write_text("", encoding="utf-8")
+        (engine / "clock.py").write_text(
             "import time\nt = time.time()\n", encoding="utf-8"
         )
-        (pkg / "generated.py").write_text(
-            "import time\nt = time.time()\n", encoding="utf-8"
+        (engine.parent / "units.py").write_text(
+            "GB = 1 << 30\n", encoding="utf-8"
         )
-        return tmp_path
+        return tmp_path / "src"
 
     def test_deterministic_scope_same_from_any_invocation_dir(self, project):
-        config = LintConfig.load(project)
-        from_root = lint_paths([project / "pkg"], config)
-        from_subdir = lint_paths([project / "pkg" / "engine"], config)
-        from_file = lint_paths([project / "pkg" / "engine" / "clock.py"], config)
-        assert rules(from_root) == ["wallclock"]
-        assert rules(from_subdir) == ["wallclock"]
-        assert rules(from_file) == ["wallclock"]
+        for target in (
+            project,
+            project / "repro" / "engine",
+            project / "repro" / "engine" / "clock.py",
+        ):
+            assert at(check_paths([target], CheckConfig())) == [("wallclock", 2, 5)]
 
     def test_root_relative_exclude_same_from_any_invocation_dir(self, project):
-        config = LintConfig.load(project)
-        for target in (
-            project / "pkg",
-            project / "pkg" / "engine",
-            project / "pkg" / "engine" / "generated.py",
-        ):
+        for target in (project, project / "repro", project / "repro" / "units.py"):
             assert not any(
-                "generated.py" in v.path for v in lint_paths([target], config)
+                "units.py" in f.path
+                for f in check_paths([target], CheckConfig())
             )
 
-    def test_absolute_exclude_pattern_matches(self, project):
-        config = LintConfig.load(project)
-        import dataclasses
-
-        config = dataclasses.replace(
-            config,
-            exclude=(str(project / "pkg" / "engine" / "generated.py"),),
-        )
-        assert not any(
-            "generated.py" in v.path
-            for v in lint_paths([project / "pkg"], config)
-        )
-
     def test_scope_falls_back_outside_the_root(self, tmp_path):
-        # a file outside the configured root keeps invocation-relative scope
-        config = LintConfig(
-            deterministic_dirs=("engine",), root=tmp_path / "elsewhere"
-        )
-        scoped = config.scope_path(
-            tmp_path / "repro" / "engine" / "mod.py",
-            Path("repro/engine/mod.py"),
-        )
-        assert scoped == Path("repro/engine/mod.py")
+        # outside any package, the path below the invocation root names
+        # the module
+        bad = tmp_path / "repro" / "engine"
+        bad.mkdir(parents=True)
+        (bad / "mod.py").write_text("import time\nt = time.time()\n", encoding="utf-8")
+        assert rules(check_paths([tmp_path], CheckConfig())) == ["wallclock"]
 
 
 # ----------------------------------------------------------------------
-# whole tree + CLI
+# the deprecated `repro lint` alias forwards to `repro check`
 # ----------------------------------------------------------------------
 class TestWholeTree:
-    def test_src_tree_is_clean(self):
-        assert lint_paths([SRC]) == []
-
-    def test_cli_exit_zero_on_clean_tree(self, capsys):
-        assert lint_main([str(SRC)]) == 0
-
-    def test_cli_exit_one_on_violation(self, tmp_path, capsys):
+    @pytest.fixture
+    def bad_tree(self, tmp_path):
         bad = tmp_path / "repro" / "engine"
         bad.mkdir(parents=True)
         (bad / "mod.py").write_text(
             "import time\nt = time.time()\n", encoding="utf-8"
         )
-        assert lint_main([str(tmp_path)]) == 1
+        return tmp_path
+
+    def test_src_tree_is_clean(self, capsys):
+        assert lint_main([str(SRC)]) == 0
+        assert "deprecated" in capsys.readouterr().err
+
+    def test_cli_exit_zero_on_clean_tree(self, capsys):
+        assert lint_main(["--no-baseline", str(SRC)]) == 0
+
+    def test_cli_exit_one_on_violation(self, bad_tree, capsys):
+        assert lint_main(["--no-baseline", str(bad_tree)]) == 1
         assert "wallclock" in capsys.readouterr().out
 
     def test_cli_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ALL_RULES:
+        for rule in RULES:
             assert rule in out
 
     def test_cli_rejects_unknown_rule(self, capsys):
-        assert lint_main(["--select", "bogus", str(SRC)]) == 2
+        assert lint_main(["--select", "unseeded-rng", str(SRC)]) == 2
 
     def test_cli_missing_path(self, capsys):
         assert lint_main([str(SRC / "no-such-dir")]) == 2
 
     def test_cli_exit_two_on_parse_error(self, tmp_path, capsys):
         (tmp_path / "mod.py").write_text("def broken(:\n", encoding="utf-8")
-        assert lint_main([str(tmp_path)]) == 2
+        assert lint_main(["--no-baseline", str(tmp_path)]) == 2
         assert "parse-error" in capsys.readouterr().out
 
-    def test_cli_json_format(self, tmp_path, capsys):
-        bad = tmp_path / "repro" / "engine"
-        bad.mkdir(parents=True)
-        (bad / "mod.py").write_text(
-            "import time\nt = time.time()\n", encoding="utf-8"
-        )
-        assert lint_main(["--format", "json", str(tmp_path)]) == 1
+    def test_cli_json_format(self, bad_tree, capsys):
+        assert lint_main(["--no-baseline", "--format", "json", str(bad_tree)]) == 1
         doc = json.loads(capsys.readouterr().out)
-        assert doc["tool"] == "repro-lint"
-        assert doc["summary"]["total"] == 1
-        assert doc["summary"]["by_rule"] == {"wallclock": 1}
-        assert doc["violations"][0]["rule"] == "wallclock"
+        assert doc["tool"] == "repro-check"
+        assert doc["summary"] == {"total": 1, "by_rule": {"wallclock": 1}}
+        assert doc["findings"][0]["rule"] == "wallclock"
 
     def test_cli_json_format_clean_tree(self, capsys):
         assert lint_main(["--format", "json", str(SRC)]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["violations"] == []
+        assert json.loads(capsys.readouterr().out)["findings"] == []
 
     def test_python_dash_m_entry_point(self):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.lint", str(SRC)],
+            [sys.executable, "-m", "repro", "lint", str(SRC)],
             capture_output=True,
             text=True,
             env=env,
             cwd=REPO,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "deprecated" in proc.stderr
