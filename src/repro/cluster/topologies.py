@@ -4,7 +4,7 @@
 This module adds the fabric the robustness story needs:
 
 * :class:`FabricTopology` — a :class:`~repro.cluster.topology.GraphTopology`
-  that enumerates **all** equal-cost shortest paths per pair and selects
+  that routes over **all** equal-cost shortest paths per pair and selects
   among them per flow.  Three routing policies:
 
   - ``static`` — delegate to the base class (single nominal shortest path).
@@ -16,7 +16,7 @@ This module adds the fabric the robustness story needs:
     is versioned (``route_version``); the control plane
     (:class:`repro.cluster.routing.RoutingController`) marks links down/up
     after its convergence delay, which bumps the version and invalidates
-    both the fabric's own path caches and the epoch-keyed ``rate_matrix()``
+    both the fabric's own path records and the epoch-keyed ``rate_matrix()``
     tensors downstream.
 
   Under ``ecmp``/``linkstate`` ``route_tensor()`` is the per-pair
@@ -27,10 +27,27 @@ This module adds the fabric the robustness story needs:
 * :func:`clos_topology` — the k-ary fat-tree as a multi-rooted Clos fabric
   with a configurable oversubscription factor (1.0 = full bisection).
 
-Path enumeration is deterministic: candidate paths come from
-``networkx.all_shortest_paths`` sorted by node-name sequence, and ECMP picks
+Path selection is deterministic: a pair's candidates are its equal-cost
+shortest paths sorted by node-name sequence, and ECMP picks number
 ``crc32(f"{src}|{dst}|{fid}") % n`` — a pure function of the (seeded) flow
-id, so same-seed runs stay byte-identical.
+id, so same-seed runs stay byte-identical.  The list is never enumerated
+to pick one path.  One BFS per destination and routing version records each
+node's distance and shortest-path count toward ``dst`` over a name-sorted
+adjacency; path ``h`` is *unranked* by walking from ``src``, trying the
+one-hop-closer neighbours in name order and subtracting each one's count
+until ``h`` fits.  That is exactly entry ``h`` of networkx's full
+shortest-path enumeration sorted, with ``n = count[src]``, at O(hops ×
+degree) per flow after the BFS.  The records and the adjacency are nominal
+and kept for good under ``static``/``ecmp``, and dropped on every routing
+change under ``linkstate``.
+
+Known wart: a pair's order follows whichever direction was queried first
+(since the last routing change, under ``linkstate``), and the other
+direction gets the same paths reversed, in the same order — which need not
+be its own sorted order.  Data-plane reads such as
+``FlowNetwork.pair_blocked`` call :meth:`route` and so fix the orientation
+too.  Making the order canonical changes traces and is left to its own
+change.
 
 When a pair has **no** live path the fabric keeps the last advertised route
 as a *partitioned sentinel*: that route necessarily crosses a down link, so
@@ -41,7 +58,7 @@ total and byte conservation is untouched.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import networkx as nx
 import numpy as np
@@ -87,10 +104,14 @@ class FabricTopology(GraphTopology):
         self.route_version = 0
         self.down_links: Set[LinkKey] = set()
         self._live: Optional[nx.Graph] = None
-        # equal-cost path sets per pair.  For ``ecmp`` these are nominal and
-        # never invalidated; for ``linkstate`` they are cleared on every
-        # routing-table change.
-        self._ecmp: Dict[Tuple[str, str], List[List[LinkKey]]] = {}
+        # name-sorted adjacency of the routing graph and, per destination,
+        # (distance, shortest-path count) toward it.  Nominal and kept for
+        # good under ``static``/``ecmp``; dropped on every routing-table
+        # change under ``linkstate``, with the orientation memo.
+        self._adj: Optional[Dict[str, List[str]]] = None
+        self._toward: Dict[str, Tuple[Dict[str, int], Dict[str, int]]] = {}
+        # the first-queried (src, dst) orientation of each unordered pair
+        self._first: Set[Tuple[str, str]] = set()
         # last advertised route per pair — the partitioned sentinel.
         self._advertised: Dict[Tuple[str, str], List[LinkKey]] = {}
 
@@ -119,7 +140,9 @@ class FabricTopology(GraphTopology):
         self.route_version += 1
         self._live = None
         if self.routing == "linkstate":
-            self._ecmp.clear()
+            self._adj = None
+            self._toward.clear()
+            self._first.clear()
 
     @property
     def live_graph(self) -> nx.Graph:
@@ -150,29 +173,81 @@ class FabricTopology(GraphTopology):
         return n * (n - 1) // 2 - connected
 
     # -- routing --------------------------------------------------------
+    def _counts(self, dst: str) -> Tuple[Dict[str, int], Dict[str, int]]:
+        """BFS distance and shortest-path count of each node toward ``dst``."""
+        rec = self._toward.get(dst)
+        if rec is None:
+            adj = self._adj
+            if adj is None:
+                live = self.routing == "linkstate"
+                g = self.live_graph if live else self.graph
+                adj = self._adj = {u: sorted(g[u]) for u in g}
+            dist = {dst: 0}
+            count = {dst: 1}
+            queue = [dst]
+            for u in queue:
+                du = dist[u] + 1
+                cu = count[u]
+                for v in adj[u]:
+                    dv = dist.get(v)
+                    if dv is None:
+                        dist[v] = du
+                        count[v] = cu
+                        queue.append(v)
+                    elif dv == du:
+                        count[v] += cu
+            rec = self._toward[dst] = (dist, count)
+        return rec
+
+    def _oriented(self, src: str, dst: str) -> Tuple[str, str, int]:
+        """The pair's ranking orientation ``(a, b)`` and its path count.
+
+        ``(a, b)`` is whichever of ``src → dst`` and ``dst → src`` was
+        queried first since the last routing change; the count is 0 when
+        the pair is partitioned, equal or unknown.
+        """
+        if src == dst or src not in self.graph or dst not in self.graph:
+            return src, dst, 0
+        if (dst, src) in self._first:
+            src, dst = dst, src
+        else:
+            self._first.add((src, dst))
+        return src, dst, self._counts(dst)[1].get(src, 0)
+
+    def _unrank(self, a: str, b: str, h: int, src: str) -> List[LinkKey]:
+        """Path ``h`` of the sorted ``a → b`` equal-cost list, from ``src``.
+
+        At each hop take the first name-ordered neighbour one hop closer to
+        ``b`` whose path count exceeds what is left of ``h``, subtracting
+        the counts skipped over.
+        """
+        dist, count = self._counts(b)
+        adj = self._adj
+        path = []
+        u = a
+        d = dist[a]
+        while d:
+            d -= 1
+            for v in adj[u]:
+                if dist.get(v) == d:
+                    c = count[v]
+                    if h < c:
+                        break
+                    h -= c
+            path.append(_canon(u, v))
+            u = v
+        if a != src:
+            path.reverse()
+        return path
+
     def equal_cost_paths(self, src: str, dst: str) -> List[List[LinkKey]]:
         """All equal-cost shortest paths, deterministically ordered.
 
         Computed on the nominal graph for ``static``/``ecmp`` and on the
         live graph for ``linkstate``.  Empty when the pair is partitioned.
         """
-        if src == dst:
-            return []
-        key = (src, dst)
-        cached = self._ecmp.get(key)
-        if cached is None:
-            g = self.live_graph if self.routing == "linkstate" else self.graph
-            try:
-                paths = sorted(nx.all_shortest_paths(g, src, dst))
-            except (nx.NetworkXNoPath, nx.NodeNotFound):
-                paths = []
-            cached = [
-                [_canon(u, v) for u, v in zip(p[:-1], p[1:])] for p in paths
-            ]
-            self._ecmp[key] = cached
-            # deterministic mirror; ordering need not match sorted(dst→src)
-            self._ecmp[(dst, src)] = [list(reversed(p)) for p in cached]
-        return cached
+        a, b, n = self._oriented(src, dst)
+        return [self._unrank(a, b, h, src) for h in range(n)]
 
     def route(self, src: str, dst: str) -> List[LinkKey]:
         """Representative route for the pair (the first equal-cost path).
@@ -186,14 +261,14 @@ class FabricTopology(GraphTopology):
             return super().route(src, dst)
         if src == dst:
             return []
-        paths = self.equal_cost_paths(src, dst)
-        if not paths:
+        a, b, n = self._oriented(src, dst)
+        if not n:
             stale = self._advertised.get((src, dst))
             # a pair that never routed falls back to the nominal path; with
             # no live path every nominal route crosses a down link too.
             return stale if stale is not None else super().route(src, dst)
-        self._advertised[(src, dst)] = paths[0]
-        return paths[0]
+        path = self._advertised[(src, dst)] = self._unrank(a, b, 0, src)
+        return path
 
     def route_tensor(self) -> Tuple[np.ndarray, List[LinkKey]]:
         """BFS tensor under ``static``; the per-pair reference otherwise."""
@@ -204,13 +279,11 @@ class FabricTopology(GraphTopology):
     def route_for_flow(self, src: str, dst: str, fid: int) -> List[LinkKey]:
         if self.routing == "static" or src == dst:
             return self.route(src, dst)
-        paths = self.equal_cost_paths(src, dst)
-        if not paths:
+        a, b, n = self._oriented(src, dst)
+        if not n:
             return self.route(src, dst)  # partitioned sentinel
-        if len(paths) == 1:
-            return paths[0]
-        h = zlib.crc32(f"{src}|{dst}|{fid}".encode())
-        return paths[h % len(paths)]
+        h = zlib.crc32(f"{src}|{dst}|{fid}".encode()) % n if n > 1 else 0
+        return self._unrank(a, b, h, src)
 
 
 def clos_topology(

@@ -120,7 +120,6 @@ class TestFabricTopology:
 
     def test_partitioned_host_keeps_stale_route(self):
         topo = clos_topology(4, routing="linkstate")
-        access = topo.route("h0_0_0", "h0_0_1")[0]  # first hop: access link
         # cut the host's only access link: no live path remains
         host_link = topo.route("h0_0_0", "h3_1_1")[0]
         topo.mark_link_down(host_link)
@@ -128,7 +127,6 @@ class TestFabricTopology:
         stale = topo.route("h0_0_0", "h3_1_1")
         assert stale  # sentinel: last advertised route, crosses the dead link
         assert host_link in stale or tuple(reversed(host_link)) in stale
-        del access
 
     def test_host_components_and_partitioned_pairs(self):
         topo = clos_topology(4)

@@ -10,16 +10,34 @@ oversubscription ratio:
   pod's aggregate uplink capacity equals its host capacity;
 * the graph is connected, and stays connected after any single fabric
   link failure when ``k >= 4`` (multi-path redundancy).
+
+The unranked ECMP paths are checked against :class:`EnumeratedFabric`, the
+all-paths enumeration the fabric used before: every ``equal_cost_paths``,
+``route`` and ``route_for_flow`` answer must match on random Clos and
+random switch graphs under random down links and query orders, and whole
+traced runs must be byte-identical on either fabric.
 """
 
 from __future__ import annotations
 
+import random
+import zlib
+
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.topologies import clos_topology
-from repro.units import Gbps
+from repro.cluster import Cluster
+from repro.cluster.topologies import FabricTopology, clos_topology
+from repro.cluster.topology import _canon, fat_tree_graph
+from repro.core import ProbabilisticNetworkAwareScheduler
+from repro.engine import EngineConfig, Simulation
+from repro.faults import FaultPlan, LinkFailure, SwitchFailure
+from repro.sim import Simulator
+from repro.trace.export import jsonl_lines
+from repro.units import MB, Gbps
+from repro.workload import JobSpec
 
 ks = st.sampled_from([2, 4, 6])
 oversubs = st.sampled_from([1.0, 2.0, 4.0])
@@ -105,3 +123,236 @@ class TestFatTreeInvariants:
         topo.mark_link_down(link)
         assert topo.partitioned_pairs() == 0
         assert len(topo.host_components()) == 1
+
+
+class EnumeratedFabric(FabricTopology):
+    """Reference: the per-pair ``nx.all_shortest_paths`` enumeration that
+    unranking replaced, kept verbatim (cache ``_ecmp`` included)."""
+
+    def __init__(self, graph, *, routing="linkstate"):
+        super().__init__(graph, routing=routing)
+        self._ecmp = {}
+
+    def _bump(self):
+        super()._bump()
+        if self.routing == "linkstate":
+            self._ecmp.clear()
+
+    def equal_cost_paths(self, src, dst):
+        if src == dst:
+            return []
+        key = (src, dst)
+        cached = self._ecmp.get(key)
+        if cached is None:
+            g = self.live_graph if self.routing == "linkstate" else self.graph
+            try:
+                paths = sorted(nx.all_shortest_paths(g, src, dst))
+            except (nx.NetworkXNoPath, nx.NodeNotFound):
+                paths = []
+            cached = [
+                [_canon(u, v) for u, v in zip(p[:-1], p[1:])] for p in paths
+            ]
+            self._ecmp[key] = cached
+            self._ecmp[(dst, src)] = [list(reversed(p)) for p in cached]
+        return cached
+
+    def route(self, src, dst):
+        if self.routing == "static":
+            return super().route(src, dst)
+        if src == dst:
+            return []
+        paths = self.equal_cost_paths(src, dst)
+        if not paths:
+            stale = self._advertised.get((src, dst))
+            return stale if stale is not None else super(
+                FabricTopology, self
+            ).route(src, dst)
+        self._advertised[(src, dst)] = paths[0]
+        return paths[0]
+
+    def route_for_flow(self, src, dst, fid):
+        if self.routing == "static" or src == dst:
+            return self.route(src, dst)
+        paths = self.equal_cost_paths(src, dst)
+        if not paths:
+            return self.route(src, dst)
+        if len(paths) == 1:
+            return paths[0]
+        h = zlib.crc32(f"{src}|{dst}|{fid}".encode())
+        return paths[h % len(paths)]
+
+
+def switch_graph(seed):
+    """A random connected switch graph with hosts on one or two switches.
+
+    Unlike a Clos fabric, its name order can differ between the two
+    directions of a pair, so the first-queried orientation shows.
+    """
+    rnd = random.Random(seed)
+    n = rnd.randint(4, 9)
+    g = nx.Graph()
+    switches = [f"s{i}" for i in rnd.sample(range(20), n)]
+    for i, s in enumerate(switches):
+        g.add_node(s, kind="switch")
+        if i:
+            g.add_edge(s, rnd.choice(switches[:i]), capacity=Gbps)
+    for _ in range(rnd.randint(0, 2 * n)):
+        u, v = rnd.sample(switches, 2)
+        g.add_edge(u, v, capacity=Gbps)
+    for i in range(rnd.randint(3, 7)):
+        h = f"h{i}"
+        g.add_node(h, kind="host", rack="rack0")
+        for s in rnd.sample(switches, rnd.randint(1, 2)):
+            g.add_edge(h, s, capacity=Gbps)
+    return g
+
+
+def check_against_oracle(graph, routing, ops):
+    """Replay ``ops`` on the fabric and the oracle; every answer must match.
+
+    Each op is ``(kind, pair, forward, fid)``: ``kind`` 0-2 queries
+    ``equal_cost_paths``, ``route`` or ``route_for_flow`` on one of a few
+    host pairs (so both directions of a pair interleave), 3 toggles a link.
+    """
+    fabric = FabricTopology(graph, routing=routing)
+    oracle = EnumeratedFabric(graph, routing=routing)
+    hosts = fabric.hosts
+    links = sorted(_canon(u, v) for u, v in graph.edges())
+    for kind, pair, forward, fid in ops:
+        if kind == 3:
+            link = links[fid % len(links)]
+            up = link in fabric.down_links
+            for topo in (fabric, oracle):
+                assert (topo.mark_link_up if up else topo.mark_link_down)(link)
+            continue
+        a = hosts[pair % len(hosts)]
+        b = hosts[(pair * 7 + 1) % len(hosts)]
+        src, dst = (a, b) if forward else (b, a)
+        if kind == 0:
+            got = fabric.equal_cost_paths(src, dst)
+            want = oracle.equal_cost_paths(src, dst)
+        elif kind == 1:
+            got, want = fabric.route(src, dst), oracle.route(src, dst)
+        else:
+            got = fabric.route_for_flow(src, dst, fid)
+            want = oracle.route_for_flow(src, dst, fid)
+        assert got == want, (kind, src, dst, fid, fabric.down_links)
+
+
+oracle_ops = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.integers(0, 4),
+        st.booleans(),
+        st.integers(0, 2**16),
+    ),
+    min_size=1,
+    max_size=40,
+)
+routings = st.sampled_from(["linkstate", "ecmp"])
+
+
+class TestUnrankedMatchesEnumeration:
+    @given(
+        k=st.sampled_from([4, 6]),
+        routing=routings,
+        down=st.sets(st.integers(0, 10**6), max_size=6),
+        ops=oracle_ops,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_clos(self, k, routing, down, ops):
+        graph = fat_tree_graph(k)
+        n = graph.number_of_edges()
+        start = [(3, 0, True, i) for i in sorted({i % n for i in down})]
+        check_against_oracle(graph, routing, start + ops)
+
+    @given(seed=st.integers(0, 2**16), routing=routings, ops=oracle_ops)
+    @settings(max_examples=60, deadline=None)
+    def test_random_switch_graph(self, seed, routing, ops):
+        check_against_oracle(switch_graph(seed), routing, ops)
+
+
+class TestUnrankingEdgeCases:
+    @pytest.mark.parametrize("routing", ["static", "ecmp", "linkstate"])
+    def test_equal_and_unknown_hosts_have_no_paths(self, routing):
+        topo = clos_topology(4, routing=routing)
+        assert topo.equal_cost_paths("h0_0_0", "h0_0_0") == []
+        assert topo.equal_cost_paths("h0_0_0", "nowhere") == []
+        assert topo.equal_cost_paths("nowhere", "h0_0_0") == []
+        assert topo.route("h1_0_0", "h1_0_0") == []
+        assert topo.route_for_flow("h1_0_0", "h1_0_0", 3) == []
+
+    def test_ecmp_ignores_down_links(self):
+        topo = clos_topology(4, routing="ecmp")
+        pairs = [
+            ("h0_0_0", "h2_1_1"), ("h3_1_0", "h0_1_1"), ("h1_0_0", "h1_1_1"),
+        ]
+        before = {
+            (a, b, fid): topo.route_for_flow(a, b, fid)
+            for a, b in pairs
+            for fid in range(16)
+        }
+        topo.mark_link_down(("agg0_0", "core0_0"))
+        topo.mark_link_down(("edge1_0", "agg1_0"))
+        assert {
+            key: topo.route_for_flow(*key) for key in before
+        } == before
+
+    def test_linkstate_resets_orientation_and_counts_on_every_bump(self):
+        graph = nx.Graph()
+        for h in ("a", "b"):
+            graph.add_node(h, kind="host", rack="rack0")
+        for u, v in [("a", "x1"), ("x1", "y2"), ("y2", "b"),
+                     ("a", "x2"), ("x2", "y1"), ("y1", "b"),
+                     ("x1", "z")]:
+            graph.add_edge(u, v, capacity=Gbps)
+        topo = FabricTopology(graph, routing="linkstate")
+        forward = topo.equal_cost_paths("a", "b")
+        mirrored = [list(reversed(p)) for p in forward]
+        # the wart: b -> a mirrors the first-queried a -> b order ...
+        assert topo.equal_cost_paths("b", "a") == mirrored
+        assert topo._first and topo._toward
+        topo.mark_link_down(("x1", "z"))  # off every a-b path
+        assert not topo._first and not topo._toward
+        # ... until the next routing change lets b -> a rank itself
+        own = topo.equal_cost_paths("b", "a")
+        assert own != mirrored and sorted(own) == sorted(mirrored)
+        topo.mark_link_up(("x1", "z"))
+        assert not topo._first and not topo._toward
+        assert topo.equal_cost_paths("a", "b") == forward
+
+
+def _reroute_plan():
+    """The link-and-switch plan of CI's re-routing smoke test."""
+    return FaultPlan(
+        link_failures=(
+            LinkFailure(link=("agg0_0", "core0_0"), duration=6.0, at=2.0),
+            LinkFailure(link=("agg0_0", "core0_1"), duration=5.0, at=3.0),
+        ),
+        switch_failures=(
+            SwitchFailure(switch="agg1_0", duration=4.0, at=2.5),
+        ),
+    )
+
+
+def _trace(fabric_cls, routing):
+    sim = Simulation(
+        cluster=Cluster(
+            Simulator(), fabric_cls(fat_tree_graph(4), routing=routing)
+        ),
+        scheduler=ProbabilisticNetworkAwareScheduler(),
+        jobs=[JobSpec.make("01", "terasort", 16 * 64 * MB, 16, 6)],
+        seed=123,
+        config=EngineConfig(
+            faults=_reroute_plan(), trace=True, route_convergence_delay=0.5
+        ),
+    )
+    return jsonl_lines(sim.run().trace.events)
+
+
+class TestUnrankedTraceIdentity:
+    @pytest.mark.parametrize("routing", ["linkstate", "ecmp"])
+    def test_faulted_run_matches_enumeration(self, routing):
+        got = _trace(FabricTopology, routing)
+        assert any('"link_down"' in line for line in got)
+        assert got == _trace(EnumeratedFabric, routing)
