@@ -17,8 +17,6 @@ Usage::
     repro run --faults plan.json            # one run under a fault plan
     repro run --scheduler fair --seed 3     # one plain run, summary printed
     repro run --durability --faults p.json  # ... with HDFS re-replication on
-    repro bench --quick                     # perf smoke -> BENCH_perf.json
-    repro bench --baseline BENCH_perf.json  # fail on >2x wall regression
     repro chaos --rounds 20 --seed 1        # randomized-fault soak, verified
     repro chaos --rounds 3 --quick          # the CI chaos smoke
     repro run --metrics m.jsonl             # run with the metrics plane on
@@ -332,16 +330,6 @@ def _trace_main(argv: List[str]) -> int:
     print(trace_summary(recorder.events))
     print()
     print(ascii_timeline(recorder.events))
-    if recorder.timings:
-        print()
-        rows = [
-            (phase, f"{seconds * 1e3:.2f}")  # repro: lint-ok[magic-unit]
-            for phase, seconds in sorted(recorder.timings.items())
-        ]
-        print(format_table(
-            ["phase", "wall ms"], rows,
-            title="scheduler-decision wall time",
-        ))
     print()
     print(result.summary())
     return 0
@@ -479,104 +467,6 @@ def _run_main(argv: List[str]) -> int:
     return 0
 
 
-def _bench_main(argv: List[str]) -> int:
-    """`repro bench` — time representative scenarios, write BENCH_perf.json."""
-    from repro.experiments.perf import (
-        check_regression,
-        load_baseline,
-        run_bench,
-        write_bench,
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="Benchmark the scheduler hot path on representative "
-        "scenarios and write a canonical-JSON perf artifact.",
-    )
-    parser.add_argument("--quick", action="store_true",
-                        help="small-cluster cases only (the CI smoke set)")
-    parser.add_argument("--out", metavar="PATH", default="BENCH_perf.json",
-                        help="artifact path (default: BENCH_perf.json)")
-    parser.add_argument("--baseline", metavar="PATH", default=None,
-                        help="committed baseline JSON to compare against; "
-                        "exit 1 if any case regressed beyond --factor")
-    parser.add_argument("--factor", type=float, default=2.0,
-                        help="regression threshold versus the baseline "
-                        "(default: 2.0x wall time)")
-    parser.add_argument("--no-speedup", action="store_true",
-                        help="skip the REPRO_NO_CACHE=1 reference re-run")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        metavar="X",
-                        help="fail (exit 1) if the cached-vs-naive factor "
-                        "drops below X (requires the speedup re-run)")
-    parser.add_argument("--repeat", type=int, default=1, metavar="N",
-                        help="run each case N times and keep the minimum "
-                        "wall time (default: 1)")
-    args = parser.parse_args(argv)
-
-    if args.min_speedup is not None and args.no_speedup:
-        print("--min-speedup needs the speedup re-run; drop --no-speedup",
-              file=sys.stderr)
-        return 2
-
-    if args.repeat < 1:
-        print("--repeat must be >= 1", file=sys.stderr)
-        return 2
-    doc = run_bench(
-        quick=args.quick,
-        measure_speedup=not args.no_speedup,
-        repeat=args.repeat,
-        progress=print,
-    )
-    write_bench(doc, args.out)
-    print(f"wrote {args.out}")
-    print()
-    rows = [
-        (name, f"{r['wall_s']:.3f}", f"{r['events_per_s']:,.0f}",
-         f"{r['offers_per_s']:,.0f}", r["nodes"], r["jobs"])
-        for name, r in doc["cases"].items()
-    ]
-    print(format_table(
-        ["case", "wall (s)", "events/s", "offers/s", "nodes", "jobs"], rows,
-        title=f"scheduler hot-path benchmark ({doc['mode']})",
-    ))
-    if "speedup" in doc:
-        s = doc["speedup"]
-        print(
-            f"\ncache speedup on {s['case']}: {s['factor']:.2f}x "
-            f"({s['nocache_wall_s']:.3f}s naive -> "
-            f"{s['cached_wall_s']:.3f}s cached)"
-        )
-        if args.min_speedup is not None and s["factor"] < args.min_speedup:
-            print(
-                f"cache speedup {s['factor']:.2f}x is below the "
-                f"--min-speedup floor {args.min_speedup:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
-    if args.baseline is not None:
-        baseline = load_baseline(args.baseline)
-        if baseline is None:
-            print(f"\nwarning: no usable baseline at {args.baseline} "
-                  "(missing, empty, or malformed); skipping regression check")
-            return 0
-        overlap = set(doc.get("cases", {})) & set(baseline.get("cases", {}))
-        if not overlap:
-            print(f"\nwarning: baseline {args.baseline} shares no case "
-                  "names with this run (incompatible case set); skipping "
-                  "regression check")
-            return 0
-        failures = check_regression(doc, baseline, factor=args.factor)
-        if failures:
-            print("\nwall-time regression vs baseline:", file=sys.stderr)
-            for msg in failures:
-                print(f"  {msg}", file=sys.stderr)
-            return 1
-        print(f"\nno regression vs {args.baseline} "
-              f"(threshold {args.factor:.1f}x)")
-    return 0
-
-
 def _chaos_main(argv: List[str]) -> int:
     """`repro chaos` — randomized-fault soak across every scheduler."""
     from repro.experiments.chaos import run_chaos
@@ -689,12 +579,13 @@ def _profile_main(argv: List[str]) -> int:
         "(self time: a parent scope is charged only for the wall time its "
         "children did not claim).",
     )
-    parser.add_argument("--case", default=None, choices=sorted(cases),
-                        help="benchmark case to profile "
-                        "(default: xl_pna_netcond, the 200-node showcase)")
-    parser.add_argument("--quick", action="store_true",
-                        help="profile the small-cluster pna_netcond case "
-                        "instead (the CI smoke)")
+    which = parser.add_mutually_exclusive_group()
+    which.add_argument("--case", default=None, choices=sorted(cases),
+                       help="benchmark case to profile "
+                       "(default: xl_pna_netcond, the 200-node showcase)")
+    which.add_argument("--quick", action="store_true",
+                       help="profile the small-cluster pna_netcond case "
+                       "instead (the CI smoke)")
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="also write the canonical profile JSON to PATH")
     parser.add_argument("--top", type=int, default=0, metavar="N",
@@ -864,8 +755,6 @@ def main(argv: List[str] | None = None) -> int:
         return _run_main(argv[1:])
     if argv and argv[0] == "report":
         return _report_main(argv[1:])
-    if argv and argv[0] == "bench":
-        return _bench_main(argv[1:])
     if argv and argv[0] == "chaos":
         return _chaos_main(argv[1:])
     if argv and argv[0] == "profile":
@@ -881,7 +770,7 @@ def main(argv: List[str] | None = None) -> int:
         "experiment",
         choices=[*COMMANDS, "all"],
         help="which paper artefact to regenerate "
-        "(or `check`/`trace`/`run`/`report`/`bench`/`chaos`/"
+        "(or `check`/`trace`/`run`/`report`/`chaos`/"
         "`profile`/`sweep`)",
     )
     parser.add_argument(

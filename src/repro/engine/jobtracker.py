@@ -530,8 +530,8 @@ class JobTracker:
             self.invariants.after_heartbeat()
 
     def _select_task(self, kind: str, node: Node, job: Job):
-        """One scheduler selection call, under the trace phase timer and —
-        when a profiler is installed — a ``scheduler.select_*`` scope.
+        """One scheduler selection call, under a ``scheduler.select_*``
+        scope when a profiler is installed.
 
         Both offer loops funnel through here so the candidate scan (the
         known hot site) is attributed separately from the rest of the
@@ -546,9 +546,6 @@ class JobTracker:
         if prof is not None:
             prof.push(f"scheduler.select_{kind}")
         try:
-            if self.recorder.enabled:
-                with self.recorder.phase(f"select_{kind}"):
-                    return select(node, job, self.ctx)
             return select(node, job, self.ctx)
         finally:
             if prof is not None:
@@ -608,14 +605,8 @@ class JobTracker:
             if not assigned:
                 # a slot nobody claims may back up a straggler (Hadoop
                 # launches speculative attempts from otherwise-idle slots)
-                if self.config.speculative:
-                    if rec.enabled:
-                        with rec.phase("speculate"):
-                            launched = self._try_speculate(node)
-                    else:
-                        launched = self._try_speculate(node)
-                    if launched:
-                        continue
+                if self.config.speculative and self._try_speculate(node):
+                    continue
                 if candidates:
                     reason = round_reason or NO_CANDIDATE
                     self.collector.offer_declined("map", reason)
@@ -635,7 +626,19 @@ class JobTracker:
         are running single-attempt maps older than ``speculative_min_age``
         whose read progress trails their job's running mean by
         ``speculative_progress_factor``; the slowest is cloned here.
+        Runs under a ``scheduler.speculate`` scope when a profiler is
+        installed.
         """
+        prof = _obs_profile.ACTIVE
+        if prof is not None:
+            prof.push("scheduler.speculate")
+        try:
+            return self._speculate(node)
+        finally:
+            if prof is not None:
+                prof.pop()
+
+    def _speculate(self, node: Node) -> bool:
         now = self.sim.now
         cfg = self.config
         best = None

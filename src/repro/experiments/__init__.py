@@ -28,15 +28,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "random_telemetry",
         "run_chaos",
     ),
-    ".perf": (
-        "BenchCase",
-        "bench_cases",
-        "check_regression",
-        "load_baseline",
-        "run_bench",
-        "run_case",
-        "write_bench",
-    ),
+    ".perf": ("BenchCase", "bench_cases"),
     ".scenarios": ("SCENARIOS", "Scenario", "get_scenario", "run_batch"),
     ".sweep": (
         "run_sweep",
@@ -55,11 +47,6 @@ __all__ = [
     "ChaosReport",
     "ChaosRun",
     "bench_cases",
-    "check_regression",
-    "load_baseline",
-    "run_bench",
-    "run_case",
-    "write_bench",
     "ablation_bandwidth",
     "ablation_estimator",
     "ablation_network_condition",

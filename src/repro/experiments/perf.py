@@ -1,38 +1,32 @@
-"""Performance benchmark harness — `repro bench` and ``BENCH_perf.json``.
+"""Benchmark case definitions for `repro profile` and the benchmark harness.
 
 The scheduler hot path (epoch-cached rate matrices, vectorised estimation,
 cached slot/task views — see ``docs/API.md`` § Performance) is only worth
-its complexity if the speedup is real and *stays* real.  This module times
-a fixed set of representative scenarios and writes the measurements to a
-canonical-JSON artifact so CI and future PRs can track the trajectory:
+its complexity if the speedup is real and *stays* real.  Two tools keep it
+honest, and this module feeds both:
 
-* **cases** — wall time, simulated events/s and slot offers/s for each
-  scheduler family (PNA hop-count, PNA network-condition, Fair, Coupling)
-  on a small (16-node) and, outside ``--quick``, large (100- and
-  200-node) clusters, with and without node churn;
-* **speedup** — the same network-condition case re-run with
-  ``REPRO_NO_CACHE=1`` (the unoptimised reference paths), giving the
-  cached-vs-naive factor on the exact workload where the optimisation
-  matters most — the live inverse-rate matrix feeds every decision there;
-* **regression gate** — :func:`check_regression` compares a fresh run
-  against a committed baseline and flags any case that got more than
-  ``factor``× slower in wall time *or* whose simulated-event throughput
-  (``events_per_s``) fell below ``baseline / factor`` (CI fails at 2×).
+* :func:`batched_workload` — the staggered multi-job batch that the
+  wall-time benchmark (``perfbench/``, declared in ``BENCHMARK.json``)
+  submits on every workload;
+* :func:`bench_cases` / :func:`profile_case` — named scenarios, one per
+  scheduler family on 16- to 1000-node clusters, run under the hot-path
+  profiler.  :func:`profile_simulation` returns per-component call counts
+  and the run's work counts; ``tests/test_work_ledger.py`` compares them
+  exactly against a committed ledger, so a layer that starts doing more
+  calls (a rate matrix recomputed within one epoch, a refill run twice)
+  fails the test suite.
 
-Determinism note: the *measurements* (wall seconds) are of course not
-deterministic, but every simulation inside them is — same seed, same
-byte-identical trace, cached or not (``tests/test_perf_cache.py``).
+Only the ``self_s`` wall times vary between runs; every count, like every
+simulation, is a pure function of the case and its seed.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from repro.cluster import ClusterSpec
+from repro.engine import Simulation
 from repro.experiments.scenarios import Scenario
 from repro.faults import FaultPlan, NodeChurn
 from repro.schedulers import TaskScheduler
@@ -41,12 +35,8 @@ __all__ = [
     "BenchCase",
     "batched_workload",
     "bench_cases",
-    "check_regression",
-    "load_baseline",
     "profile_case",
-    "run_bench",
-    "run_case",
-    "write_bench",
+    "profile_simulation",
 ]
 
 #: 16 nodes — the CI scale.
@@ -214,187 +204,36 @@ def bench_cases(*, quick: bool = False) -> List[BenchCase]:
     return cases
 
 
-def run_case(case: BenchCase, *, repeat: int = 1) -> Dict:
-    """Build and run one case end-to-end; returns its measurement record.
-
-    ``repeat`` runs the case that many times and keeps the *minimum* wall
-    time — the standard noise-reduction trick for wall-clock benchmarks
-    (the minimum is the run least disturbed by the host).  The simulation
-    itself is deterministic, so events/offers/makespan are identical
-    across repeats and only the timing varies.
-    """
-    if repeat < 1:
-        raise ValueError(f"repeat must be >= 1, got {repeat}")
-    wall = float("inf")
-    for _ in range(repeat):
-        scenario = case.scenario()
-        t0 = time.perf_counter()
-        sim = scenario.simulation(
-            case.make_scheduler(), case.jobs(scenario)
-        )
-        result = sim.run()
-        wall = min(wall, time.perf_counter() - t0)
-    c = result.collector
-    offers = c.scheduling_assignments + c.scheduling_declines
-    events = sim.sim.processed
-    return {
-        "wall_s": round(wall, 3),
-        "events": events,
-        "offers": offers,
-        "events_per_s": round(events / wall, 1),
-        "offers_per_s": round(offers / wall, 1),
-        "makespan_s": round(c.makespan(), 3),
-        "nodes": case.cluster.num_nodes,
-        "jobs": int(c.job_completion_times().size),
-    }
-
-
 def profile_case(case: BenchCase) -> Dict:
     """Run one case under the wall-time profiler (`repro profile`).
 
+    Returns :func:`profile_simulation`'s document extended with the case
+    name and node count, so the attribution is traceable to its workload.
+    """
+    scenario = case.scenario()
+    doc = profile_simulation(
+        scenario.simulation(case.make_scheduler(), case.jobs(scenario))
+    )
+    doc["case"] = case.name
+    doc["nodes"] = case.cluster.num_nodes
+    return doc
+
+
+def profile_simulation(sim: Simulation) -> Dict:
+    """Run a built simulation under the wall-time profiler.
+
     Returns the profiler's canonical document (see
-    :meth:`repro.obs.profile.Profiler.to_doc`) extended with the case
-    name and run facts, so the attribution is traceable to its workload.
+    :meth:`repro.obs.profile.Profiler.to_doc`) extended with the run's
+    work counts: processed ``events``, ``flows_started``,
+    ``route_convergences`` and ``reroutes``.
     """
     from repro.obs import profile as obs_profile
 
-    scenario = case.scenario()
-    sim = scenario.simulation(case.make_scheduler(), case.jobs(scenario))
     with obs_profile.profiled() as prof:
-        sim.run()
+        result = sim.run()
     doc = prof.to_doc()
-    doc["case"] = case.name
-    doc["nodes"] = case.cluster.num_nodes
     doc["events"] = sim.sim.processed
+    doc["flows_started"] = result.flows
+    doc["route_convergences"] = result.route_convergences
+    doc["reroutes"] = result.reroutes
     return doc
-
-
-def _run_case_nocache(case: BenchCase, *, repeat: int = 1) -> Dict:
-    """Run a case on the unoptimised reference paths (REPRO_NO_CACHE=1)."""
-    previous = os.environ.get("REPRO_NO_CACHE")
-    os.environ["REPRO_NO_CACHE"] = "1"
-    try:
-        return run_case(case, repeat=repeat)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_NO_CACHE", None)
-        else:
-            os.environ["REPRO_NO_CACHE"] = previous
-
-
-def run_bench(
-    *,
-    quick: bool = False,
-    measure_speedup: bool = True,
-    speedup_case: Optional[str] = None,
-    repeat: int = 1,
-    progress=None,
-) -> Dict:
-    """Run the full benchmark; returns the ``BENCH_perf.json`` document.
-
-    ``repeat`` takes the min-of-N wall time per case (recorded in the
-    document so baselines state their noise discipline).  ``progress``
-    (optional) is called with a message before each run — the CLI wires
-    it to print.
-    """
-    cases = bench_cases(quick=quick)
-    doc: Dict = {
-        "bench": "repro-perf",
-        "version": 1,
-        "mode": "quick" if quick else "full",
-        "repeat": repeat,
-        "cases": {},
-    }
-    for case in cases:
-        if progress is not None:
-            progress(f"running {case.name} ({case.cluster.num_nodes} nodes)")
-        doc["cases"][case.name] = run_case(case, repeat=repeat)
-
-    if measure_speedup:
-        # the cached-vs-naive factor, on the largest netcond case in the set
-        # (the scenario the tentpole optimisation targets)
-        if speedup_case is None:
-            speedup_case = (
-                "pna_netcond" if quick else "xl_pna_netcond"
-            )
-        target = next(c for c in cases if c.name == speedup_case)
-        if progress is not None:
-            progress(f"re-running {target.name} with REPRO_NO_CACHE=1")
-        nocache = _run_case_nocache(target, repeat=repeat)
-        cached_wall = doc["cases"][target.name]["wall_s"]
-        doc["speedup"] = {
-            "case": target.name,
-            "cached_wall_s": cached_wall,
-            "nocache_wall_s": nocache["wall_s"],
-            "factor": round(nocache["wall_s"] / cached_wall, 2),
-        }
-    return doc
-
-
-def write_bench(doc: Dict, path: str) -> None:
-    """Write the document as canonical JSON (sorted keys, no whitespace)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-        fh.write("\n")
-
-
-def load_baseline(path: str) -> Optional[Dict]:
-    """Load a committed baseline document; None if unusable.
-
-    Missing files, empty files, malformed JSON and non-object documents
-    all return None — a stale or corrupted baseline must degrade the CLI
-    to a warning, never crash a benchmark run.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read().strip()
-    except OSError:
-        return None
-    if not text:
-        return None
-    try:
-        doc = json.loads(text)
-    except ValueError:
-        return None
-    return doc if isinstance(doc, dict) else None
-
-
-def check_regression(
-    current: Dict, baseline: Dict, *, factor: float = 2.0
-) -> List[str]:
-    """Throughput and wall-time regressions of ``current`` vs ``baseline``.
-
-    Compares every case name present in both documents on two axes:
-
-    * **wall time** — fails a case whose wall grew by more than
-      ``factor``×;
-    * **events/s** — fails a case whose simulated-event throughput fell
-      below ``baseline / factor``.  Wall time alone can mask a hot-path
-      regression when the workload itself shrinks (fewer events at the
-      same events/s looks "faster"); the throughput gate is
-      workload-normalised and catches exactly that.
-
-    Empty list = no regression.
-    """
-    failures = []
-    base_cases = baseline.get("cases", {})
-    for name, record in current.get("cases", {}).items():
-        base = base_cases.get(name)
-        if base is None:
-            continue
-        if base.get("wall_s", 0) > 0:
-            ratio = record["wall_s"] / base["wall_s"]
-            if ratio > factor:
-                failures.append(
-                    f"{name}: {record['wall_s']:.3f}s vs baseline "
-                    f"{base['wall_s']:.3f}s ({ratio:.2f}x > {factor:.1f}x)"
-                )
-        if base.get("events_per_s", 0) > 0:
-            floor = base["events_per_s"] / factor
-            if record.get("events_per_s", 0.0) < floor:
-                failures.append(
-                    f"{name}: {record.get('events_per_s', 0.0):,.1f} "
-                    f"events/s vs baseline {base['events_per_s']:,.1f} "
-                    f"(below the {factor:.1f}x floor {floor:,.1f})"
-                )
-    return failures

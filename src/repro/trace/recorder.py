@@ -5,18 +5,15 @@ call sites guard event *construction* behind ``recorder.enabled`` so that a
 disabled run (the default, :class:`NullRecorder`) pays only one attribute
 read per decision and allocates nothing.
 
-Wall-clock phase timings (`phase("select_map")` etc.) are kept separate
-from the event stream on purpose: events carry only simulated time so the
-JSONL export stays byte-identical across equal-seed runs, while
-``timings`` answers "where does the scheduler spend real time".
+Events carry only simulated time, so the JSONL export is byte-identical
+across equal-seed runs.  Wall time is the profiler's job
+(:mod:`repro.obs.profile`, `repro profile`), not the recorder's.
 """
 
 from __future__ import annotations
 
-import time
-from collections import Counter, defaultdict
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Tuple
+from collections import Counter
+from typing import Dict, List, Tuple
 
 from .events import Decline, TraceEvent
 
@@ -36,32 +33,17 @@ class NullRecorder:
     def emit(self, event: TraceEvent) -> None:
         pass
 
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        yield
-
 
 class TraceRecorder(NullRecorder):
-    """Accumulates typed trace events plus per-phase wall-clock timings."""
+    """Accumulates typed trace events."""
 
     enabled = True
 
     def __init__(self) -> None:
         self.events: List[TraceEvent] = []
-        #: cumulative wall seconds per scheduler-decision phase.
-        self.timings: Dict[str, float] = defaultdict(float)
 
     def emit(self, event: TraceEvent) -> None:
         self.events.append(event)
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Accrue the wall time of the enclosed block under ``name``."""
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.timings[name] += time.perf_counter() - t0
 
     # -- views ----------------------------------------------------------
 

@@ -221,3 +221,16 @@ class TestObservabilityCommands:
         doc = json.loads(Path(out_path).read_text())
         assert doc["format"] == "repro-profile"
         assert doc["case"] == "pna_netcond"
+
+    def test_profile_case_and_quick_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--case", "fair", "--quick"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_bench_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--quick"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "bench" in err

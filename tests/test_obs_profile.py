@@ -208,3 +208,17 @@ def test_profile_case_covers_engine_wall_time():
     assert "network.tick" in doc["components"]
     # and profiling must not leak the active profiler
     assert profile.ACTIVE is None
+
+
+def test_profiled_speculative_run_attributes_scheduler_scopes():
+    """Selection and speculation wall time lands in ``scheduler.*`` scopes."""
+    from repro.experiments.perf import profile_simulation
+    from tests.test_speculation import straggler_sim
+
+    sim = straggler_sim()
+    doc = profile_simulation(sim)
+    assert sim.tracker.collector.speculative_launched > 0
+    for scope in ("scheduler.select_map", "scheduler.select_reduce",
+                  "scheduler.speculate"):
+        assert doc["components"][scope]["calls"] > 0, scope
+    assert profile.ACTIVE is None
