@@ -571,7 +571,7 @@ def _profile_main(argv: List[str]) -> int:
     from repro.experiments.perf import bench_cases, profile_case
     from repro.obs.profile import compare_docs, table_from_doc
 
-    cases = {c.name: c for c in bench_cases(quick=False)}
+    cases = {c.name: c for c in bench_cases()}
     parser = argparse.ArgumentParser(
         prog="repro profile",
         description="Run one benchmark case under the hot-path wall-time "

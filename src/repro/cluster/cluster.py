@@ -19,6 +19,7 @@ from repro.coherence import cached_on
 from repro.cluster.network import FlowNetwork
 from repro.cluster.node import Node
 from repro.cluster.topology import Topology, rack_topology
+from repro.obs import profile as _obs_profile
 from repro.sim import Simulator
 from repro.units import Gbps, MB
 
@@ -163,6 +164,7 @@ class Cluster:
 
     @cached_on(
         "network.epoch",
+        inputs=("FlowNetwork._link_flows", "FlowNetwork._cap_factors"),
         reference="_inverse_rate_matrix_uncached",
         probe=lambda self, *, scale=None: (
             self._inv_rate_cache is not None
@@ -185,23 +187,33 @@ class Cluster:
         cached = self._inv_rate_cache
         if cached is not None and cached[0] == key:
             return cached[1]
-        rates = self.network.rate_matrix()
-        # partitioned pairs advertise rate 0 (failed fabric link on the
-        # stale route) -> inf cost, which is exactly what schedulers should
-        # see; silence only the expected divide-by-zero
-        with np.errstate(divide="ignore"):
-            inv = 1.0 / rates
-        np.fill_diagonal(inv, 0.0)
-        if scale is None:
-            if self._default_inv_scale is None:
-                self._default_inv_scale = self._default_scale()
-            scale_value = self._default_inv_scale
-        else:
-            scale_value = scale
-        out = inv * scale_value
-        out.setflags(write=False)
-        self._inv_rate_cache = (key, out)
-        return out
+        prof = _obs_profile.ACTIVE
+        if prof is not None:
+            # only cache *misses* land in the profile bucket; hits cost a
+            # tuple compare and stay attributed to their caller
+            prof.push("network.rate_matrix")
+        try:
+            rates = self.network.rate_matrix()
+            # partitioned pairs advertise rate 0 (failed fabric link on
+            # the stale route) -> inf cost, which is exactly what
+            # schedulers should see; silence only the expected
+            # divide-by-zero
+            with np.errstate(divide="ignore"):
+                inv = 1.0 / rates
+            np.fill_diagonal(inv, 0.0)
+            if scale is None:
+                if self._default_inv_scale is None:
+                    self._default_inv_scale = self._default_scale()
+                scale_value = self._default_inv_scale
+            else:
+                scale_value = scale
+            out = inv * scale_value
+            out.setflags(write=False)
+            self._inv_rate_cache = (key, out)
+            return out
+        finally:
+            if prof is not None:
+                prof.pop()
 
     def _default_scale(self) -> float:
         """Default normalisation: an idle host-access-link path (inverse

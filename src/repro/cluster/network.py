@@ -57,7 +57,6 @@ import numpy as np
 from repro import accel as _accel
 from repro.cache import caching_disabled
 from repro.cluster.topology import LinkKey, Topology, _canon
-from repro.coherence import cached_on
 from repro.obs import profile as _obs_profile
 from repro.sim import Event, Simulator
 from repro.units import MB
@@ -212,16 +211,13 @@ class FlowNetwork:
         #: Monotone state-version counter: bumped whenever anything that
         #: affects :meth:`path_rate` changes (fabric flow attach/detach,
         #: capacity-factor change).  Consumers cache derived matrices keyed
-        #: on this value — see :meth:`rate_matrix` and
-        #: ``Cluster.inverse_rate_matrix``.
+        #: on this value — see ``Cluster.inverse_rate_matrix``.
         self.epoch = 0
         self._no_cache = caching_disabled()
-        # epoch-keyed rate_matrix cache + lazily built static route tensor
-        self._rm_cache: Optional[np.ndarray] = None
-        self._rm_epoch = -1
+        # lazily built static route tensor behind rate_matrix
         self._rm_static: Optional[tuple] = None
         self._rm_route_version = -1
-        # incremental share state for rate_matrix misses: per-tensor-link
+        # incremental share state for rate_matrix: per-tensor-link
         # flow counts (mirroring _link_flows, maintained on attach/detach)
         # and effective capacities (rebuilt when the cap state changes)
         self._rm_sid: Optional[Dict[LinkKey, int]] = None
@@ -604,14 +600,6 @@ class FlowNetwork:
             rate = min(rate, share)
         return rate
 
-    @cached_on(
-        "epoch",
-        inputs=("FlowNetwork._link_flows", "FlowNetwork._cap_factors"),
-        reference="_rate_matrix_uncached",
-        probe=lambda self: (
-            self._rm_cache is not None and self._rm_epoch == self.epoch
-        ),
-    )
     def rate_matrix(self) -> np.ndarray:
         """Matrix of :meth:`path_rate` over all host pairs.
 
@@ -622,79 +610,68 @@ class FlowNetwork:
 
         The matrix is computed as one vectorised gather+min over the padded
         ``(k, k, max_route)`` link-index tensor of
-        :meth:`Topology.route_tensor`, built lazily on the first miss of
-        each routing-table version (``route_version``), and cached keyed on
-        :attr:`epoch` — so the two offers of a heartbeat (and every
-        heartbeat while no flow changed) share one matrix.  The returned
-        array is read-only; copy before mutating.
+        :meth:`Topology.route_tensor`, built lazily on the first call of
+        each routing-table version (``route_version``).  The per-link flow
+        counts and effective capacities it reads are kept up to date
+        incrementally, so a call costs one gather+min.  The matrix itself
+        is not cached here: its one consumer,
+        ``Cluster.inverse_rate_matrix``, caches its inverse keyed on
+        :attr:`epoch`.  The returned array is read-only.
         Values are bit-identical to the per-pair :meth:`path_rate` walk
         (same shares, and ``min`` over the same float set is exact), which
         remains the reference path under ``REPRO_NO_CACHE=1``.
         """
         if self._no_cache:
             return self._rate_matrix_uncached()
-        if self._rm_cache is not None and self._rm_epoch == self.epoch:
-            return self._rm_cache
-        prof = _obs_profile.ACTIVE
-        if prof is not None:
-            # only cache *misses* land in the profile bucket; hits cost a
-            # dict probe and stay attributed to their caller
-            prof.push("network.rate_matrix")
-        try:
-            route_version = getattr(self.topology, "route_version", 0)
-            if self._rm_static is None or self._rm_route_version != route_version:
-                self._rm_static = self.topology.route_tensor()
-                self._rm_route_version = route_version
-                self._rm_sid = None
-            tensor, links = self._rm_static
-            if self._rm_sid is None:
-                # (re)build the incremental share state: tensor-slot lookup,
-                # per-slot live flow counts seeded from the dict ledger, and
-                # a forced effective-caps refresh
-                self._rm_sid = {link: s for s, link in enumerate(links)}
-                self._rm_counts = np.fromiter(
-                    (self._link_flows.get(link, 0) for link in links),
-                    np.float64,
-                    len(links),
-                )
-                self._rm_eff_version = self._cap_state_version - 1
-            if self._rm_eff_version != self._cap_state_version:
-                self._rm_eff = np.fromiter(
-                    (self.effective_capacity(link) for link in links),
-                    np.float64,
-                    len(links),
-                )
-                self._rm_eff_version = self._cap_state_version
-            # share per link is the same effective_capacity / (n_flows + 1)
-            # division as path_rate, just evaluated vectorised over the
-            # maintained count array — bit-identical values
-            n_links = len(links)
-            share = np.empty(n_links + 1, dtype=np.float64)
-            np.divide(self._rm_eff, self._rm_counts + 1.0, out=share[:n_links])
-            share[n_links] = math.inf  # padding id: never the min
-            k, _, depth = tensor.shape
-            kern = self._kern
-            if kern is not None:
-                # C row-wise gather+min: skips the (k, k, depth) gathered
-                # intermediate; bit-identical (min over NaN-free doubles).
-                # Its only failure, depth <= 0, cannot happen: the tensor
-                # is built with max_len >= 1.
-                assert depth >= 1
-                r = np.empty((k, k), dtype=np.float64)
-                kern.gather_min(
-                    k * k, depth, tensor.ctypes.data,
-                    share.ctypes.data, r.ctypes.data,
-                )
-            else:
-                r = share[tensor].min(axis=2)
-            np.fill_diagonal(r, self.local_bandwidth)
-            r.setflags(write=False)
-            self._rm_cache = r
-            self._rm_epoch = self.epoch
-            return r
-        finally:
-            if prof is not None:
-                prof.pop()
+        route_version = getattr(self.topology, "route_version", 0)
+        if self._rm_static is None or self._rm_route_version != route_version:
+            self._rm_static = self.topology.route_tensor()
+            self._rm_route_version = route_version
+            self._rm_sid = None
+        tensor, links = self._rm_static
+        if self._rm_sid is None:
+            # (re)build the incremental share state: tensor-slot lookup,
+            # per-slot live flow counts seeded from the dict ledger, and
+            # a forced effective-caps refresh
+            self._rm_sid = {link: s for s, link in enumerate(links)}
+            self._rm_counts = np.fromiter(
+                (self._link_flows.get(link, 0) for link in links),
+                np.float64,
+                len(links),
+            )
+            self._rm_eff_version = self._cap_state_version - 1
+        if self._rm_eff_version != self._cap_state_version:
+            self._rm_eff = np.fromiter(
+                (self.effective_capacity(link) for link in links),
+                np.float64,
+                len(links),
+            )
+            self._rm_eff_version = self._cap_state_version
+        # share per link is the same effective_capacity / (n_flows + 1)
+        # division as path_rate, just evaluated vectorised over the
+        # maintained count array — bit-identical values
+        n_links = len(links)
+        share = np.empty(n_links + 1, dtype=np.float64)
+        np.divide(self._rm_eff, self._rm_counts + 1.0, out=share[:n_links])
+        share[n_links] = math.inf  # padding id: never the min
+        k, _, depth = tensor.shape
+        kern = self._kern
+        if kern is not None:
+            # C row-wise gather+min: skips the (k, k, depth) gathered
+            # intermediate; bit-identical (min over NaN-free doubles).
+            # Its only failure, depth <= 0, cannot happen: the tensor
+            # is built with max_len >= 1.
+            assert depth >= 1
+            r = np.empty((k, k), dtype=np.float64)
+            kern.gather_min(
+                k * k, depth, tensor.ctypes.data,
+                share.ctypes.data, r.ctypes.data,
+            )
+        else:
+            r = share[tensor].min(axis=2)
+        np.fill_diagonal(r, self.local_bandwidth)
+        r.setflags(write=False)
+        return r
 
     def _rate_matrix_uncached(self) -> np.ndarray:
         """Reference implementation: per-pair route walk (O(k² · route))."""

@@ -12,7 +12,7 @@ gap as one knob, ``EngineConfig.route_convergence_delay``:
 2. at convergence the routing table
    (:class:`~repro.cluster.topologies.FabricTopology` with
    ``routing="linkstate"``) is synced to the physical state, bumping
-   ``route_version`` so the epoch-keyed rate caches rebuild;
+   ``route_version`` so the route tensor behind the rate view rebuilds;
 3. in-flight flows whose route crosses a dead link are migrated onto
    surviving equal-cost paths with their remaining bytes carried over
    (:meth:`FlowNetwork.reroute_flow`) — byte conservation holds across the

@@ -16,8 +16,8 @@ This module adds the fabric the robustness story needs:
     is versioned (``route_version``); the control plane
     (:class:`repro.cluster.routing.RoutingController`) marks links down/up
     after its convergence delay, which bumps the version and invalidates
-    both the fabric's own path records and the epoch-keyed ``rate_matrix()``
-    tensors downstream.
+    both the fabric's own path records and the route tensor behind
+    ``rate_matrix()`` downstream.
 
   Under ``ecmp``/``linkstate`` ``route_tensor()`` is the per-pair
   :meth:`~repro.cluster.topology.Topology.route_tensor` loop, because
@@ -89,8 +89,9 @@ class FabricTopology(GraphTopology):
     The *nominal* graph never changes; link failures are overlaid as a set
     of down links (a failed switch is modelled as all of its incident links
     going down, which is equivalent for connectivity).  ``route_version``
-    increments on every routing-table change so downstream epoch-keyed
-    caches (``FlowNetwork.rate_matrix``) can detect staleness cheaply.
+    increments on every routing-table change so downstream caches (the
+    route tensor behind ``FlowNetwork.rate_matrix``) can detect staleness
+    cheaply.
     """
 
     def __init__(self, graph: nx.Graph, *, routing: str = "linkstate") -> None:

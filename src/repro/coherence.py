@@ -4,10 +4,10 @@ PR 4 built the scheduler hot path on epoch/version-keyed caches; PR 6 makes
 the convention *verifiable*.  Every cached computation declares itself with
 :func:`cached_on`::
 
-    @cached_on("epoch", inputs=("FlowNetwork._link_flows",),
-               reference="_rate_matrix_uncached",
-               probe=lambda self: self._rm_epoch == self.epoch)
-    def rate_matrix(self): ...
+    @cached_on("network.epoch", inputs=("FlowNetwork._link_flows",),
+               reference="_inverse_rate_matrix_uncached",
+               probe=lambda self: self._inv_rate_cache[0] == ...)
+    def inverse_rate_matrix(self): ...
 
 The declaration is read twice:
 

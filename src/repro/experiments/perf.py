@@ -167,41 +167,37 @@ class BenchCase:
         return base
 
 
-def bench_cases(*, quick: bool = False) -> List[BenchCase]:
-    """The case set: small cluster always; large cluster unless ``quick``."""
-    cases = [
+def bench_cases() -> List[BenchCase]:
+    """The named cases: five on 16 nodes, the rest on 100 to 1000 nodes."""
+    return [
         BenchCase("pna_hop", "pna", SMALL_CLUSTER),
         BenchCase("pna_netcond", "pna-netcond", SMALL_CLUSTER),
         BenchCase("fair", "fair", SMALL_CLUSTER),
         BenchCase("coupling", "coupling", SMALL_CLUSTER),
         BenchCase("pna_netcond_churn", "pna-netcond", SMALL_CLUSTER, churn=True),
-        # the scaled-down xxl smoke: same shape as the 1000-node cases
-        # (batched multi-job workload, uniform background) at CI size
+        # the xxl shape (batched multi-job workload, uniform background)
+        # scaled down to 100 nodes
         BenchCase(
             "xxl_smoke", "pna-netcond", LARGE_CLUSTER, scale=0.1,
             n_jobs=12, stagger=15.0, hotspot_alpha=0.0,
         ),
+        BenchCase("large_pna_hop", "pna", LARGE_CLUSTER),
+        BenchCase("large_pna_netcond", "pna-netcond", LARGE_CLUSTER),
+        BenchCase("large_fair", "fair", LARGE_CLUSTER),
+        BenchCase(
+            "large_pna_netcond_churn", "pna-netcond", LARGE_CLUSTER,
+            churn=True,
+        ),
+        BenchCase("xl_pna_netcond", "pna-netcond", XL_CLUSTER),
+        BenchCase(
+            "xxl_pna_netcond", "pna-netcond", XXL_CLUSTER, n_jobs=100,
+            stagger=15.0, hotspot_alpha=0.0,
+        ),
+        BenchCase(
+            "xxl_fair", "fair", XXL_CLUSTER, n_jobs=100,
+            stagger=15.0, hotspot_alpha=0.0,
+        ),
     ]
-    if not quick:
-        cases += [
-            BenchCase("large_pna_hop", "pna", LARGE_CLUSTER),
-            BenchCase("large_pna_netcond", "pna-netcond", LARGE_CLUSTER),
-            BenchCase("large_fair", "fair", LARGE_CLUSTER),
-            BenchCase(
-                "large_pna_netcond_churn", "pna-netcond", LARGE_CLUSTER,
-                churn=True,
-            ),
-            BenchCase("xl_pna_netcond", "pna-netcond", XL_CLUSTER),
-            BenchCase(
-                "xxl_pna_netcond", "pna-netcond", XXL_CLUSTER, n_jobs=100,
-                stagger=15.0, hotspot_alpha=0.0,
-            ),
-            BenchCase(
-                "xxl_fair", "fair", XXL_CLUSTER, n_jobs=100,
-                stagger=15.0, hotspot_alpha=0.0,
-            ),
-        ]
-    return cases
 
 
 def profile_case(case: BenchCase) -> Dict:

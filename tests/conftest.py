@@ -23,9 +23,12 @@ from repro.cluster.topology import (
     rack_topology,
     star_topology,
 )
+from repro.engine import EngineConfig, Simulation
 from repro.hdfs import NameNode
+from repro.schedulers import RandomScheduler
 from repro.sim import Simulator
-from repro.units import Gbps
+from repro.units import MB, Gbps
+from repro.workload import JobSpec
 
 
 @pytest.fixture
@@ -47,6 +50,40 @@ def namenode(small_cluster: Cluster) -> NameNode:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def spec_config():
+    """``EngineConfig`` factory with speculation on and eager thresholds."""
+
+    def make(**kw):
+        defaults = dict(speculative=True, speculative_min_age=5.0,
+                        speculative_progress_factor=0.9)
+        defaults.update(kw)
+        return EngineConfig(**defaults)
+
+    return make
+
+
+@pytest.fixture
+def straggler_sim(spec_config):
+    """Factory of a 6-node cluster with one very slow node, so its maps
+    straggle; speculative by default."""
+
+    def make(config=None, seed=2):
+        factors = [1.0] * 6
+        factors[5] = 0.05  # r1n2 computes at 5 % speed
+        spec = JobSpec.make("01", "terasort", 12 * 64 * MB, 12, 2)
+        return Simulation(
+            cluster=ClusterSpec(num_racks=2, nodes_per_rack=3,
+                                compute_factors=factors),
+            scheduler=RandomScheduler(),
+            jobs=[spec],
+            config=config or spec_config(),
+            seed=seed,
+        )
+
+    return make
 
 
 def _faulted_linkstate_clos():

@@ -210,10 +210,11 @@ def test_profile_case_covers_engine_wall_time():
     assert profile.ACTIVE is None
 
 
-def test_profiled_speculative_run_attributes_scheduler_scopes():
+def test_profiled_speculative_run_attributes_scheduler_scopes(
+    straggler_sim,
+):
     """Selection and speculation wall time lands in ``scheduler.*`` scopes."""
     from repro.experiments.perf import profile_simulation
-    from tests.test_speculation import straggler_sim
 
     sim = straggler_sim()
     doc = profile_simulation(sim)

@@ -7,7 +7,7 @@ original naive code paths) have to produce byte-identical traces.  The flag
 is read once at construction time, so each comparison builds a fresh
 simulation under ``monkeypatch``-controlled environment.
 
-Also covered here, white-box: the rate-matrix epoch cache itself, the
+Also covered here, white-box: the rate matrix and its epoch cache, the
 free-slot views, the O(1) ``Simulator.pending`` counter with heap
 compaction (satellite of this PR), and the zero-rate guard in
 ``FlowNetwork._schedule_next``.
@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro import ClusterSpec, EngineConfig, Simulation, accel, table2_batch
+from repro.cluster import Cluster
 from repro.cluster.network import FlowNetwork
 from repro.cluster.topology import rack_topology
 from repro.core import PNAConfig, ProbabilisticNetworkAwareScheduler
@@ -89,7 +90,7 @@ def test_same_seed_trace_identical_with_and_without_caches(
 
 
 # ---------------------------------------------------------------------------
-# rate-matrix epoch cache
+# rate matrix and its epoch cache
 # ---------------------------------------------------------------------------
 
 
@@ -116,10 +117,13 @@ class TestRateMatrixCache:
 
     def test_cache_hit_returns_same_object(self):
         sim, net = make_net()
-        first = net.rate_matrix()
-        assert net.rate_matrix() is first
+        cluster = Cluster(sim, net.topology)
+        first = cluster.inverse_rate_matrix()
+        assert cluster.inverse_rate_matrix() is first
         with pytest.raises(ValueError):
             first[0, 1] = 0.0  # cached matrix is frozen
+        with pytest.raises(ValueError):
+            net.rate_matrix()[0, 1] = 0.0  # so is the rate view it reads
 
     def test_flow_attach_and_detach_bump_epoch(self):
         sim, net = make_net()

@@ -5,7 +5,7 @@ double as runtime contracts: with the sanitizer on, every declared cache
 shadow-executes its naive ``reference`` recompute on a deterministic sample
 of cache hits and asserts byte-equality.  The end-to-end test drives a
 network-condition PNA run — the only scheduler mode that exercises
-``FlowNetwork.rate_matrix``, ``Cluster.inverse_rate_matrix`` and
+``Cluster.inverse_rate_matrix`` and
 ``JobCostModel._distance_done_matrix`` — and demands at least one
 shadow-verified hit per declared cache layer.
 """
@@ -60,7 +60,6 @@ def test_netcond_run_shadow_verifies_every_layer(sanitizer):
     report = sanitizer_report()
     # the PR 4 cache layers are all registered...
     for layer in (
-        "FlowNetwork.rate_matrix",
         "Cluster.inverse_rate_matrix",
         "Cluster.free_map_slot_view",
         "Cluster.free_reduce_slot_view",

@@ -13,28 +13,6 @@ from repro.units import MB
 from repro.workload import JobSpec
 
 
-def spec_config(**kw):
-    defaults = dict(speculative=True, speculative_min_age=5.0,
-                    speculative_progress_factor=0.9)
-    defaults.update(kw)
-    return EngineConfig(**defaults)
-
-
-def straggler_sim(config=None, seed=2):
-    """A cluster with one very slow node, so its maps straggle."""
-    factors = [1.0] * 6
-    factors[5] = 0.05  # r1n2 computes at 5 % speed
-    spec = JobSpec.make("01", "terasort", 12 * 64 * MB, 12, 2)
-    return Simulation(
-        cluster=ClusterSpec(num_racks=2, nodes_per_rack=3,
-                            compute_factors=factors),
-        scheduler=RandomScheduler(),
-        jobs=[spec],
-        config=config or spec_config(),
-        seed=seed,
-    )
-
-
 class TestConfigValidation:
     def test_valid_defaults(self):
         cfg = EngineConfig()
@@ -52,43 +30,45 @@ class TestConfigValidation:
 
 
 class TestSpeculativeExecution:
-    def test_backup_attempts_launched_for_stragglers(self):
+    def test_backup_attempts_launched_for_stragglers(self, straggler_sim):
         sim = straggler_sim()
         result = sim.run()
         assert result.collector.speculative_launched > 0
 
-    def test_speculation_beats_no_speculation_with_stragglers(self):
+    def test_speculation_beats_no_speculation_with_stragglers(
+        self, straggler_sim
+    ):
         jct_off = straggler_sim(config=EngineConfig()).run().mean_jct
         jct_on = straggler_sim().run().mean_jct
         assert jct_on < jct_off
 
-    def test_off_by_default_no_backups(self):
+    def test_off_by_default_no_backups(self, straggler_sim):
         sim = straggler_sim(config=EngineConfig())
         result = sim.run()
         assert result.collector.speculative_launched == 0
         assert result.collector.speculated_tasks() == 0
 
-    def test_all_slots_released_after_cancellations(self):
+    def test_all_slots_released_after_cancellations(self, straggler_sim):
         sim = straggler_sim()
         sim.run()
         for node in sim.cluster.nodes:
             assert node.running_maps == 0
             assert node.running_reduces == 0
 
-    def test_each_map_recorded_once(self):
+    def test_each_map_recorded_once(self, straggler_sim):
         sim = straggler_sim()
         result = sim.run()
         maps = [t for t in result.collector.task_records if t.kind == "map"]
         assert len(maps) == 12
         assert len({t.index for t in maps}) == 12
 
-    def test_winner_attempt_count_recorded(self):
+    def test_winner_attempt_count_recorded(self, straggler_sim):
         sim = straggler_sim()
         result = sim.run()
         if result.collector.speculative_launched:
             assert any(t.attempts > 1 for t in result.collector.task_records)
 
-    def test_byte_conservation_with_speculation(self):
+    def test_byte_conservation_with_speculation(self, straggler_sim):
         """Reduces still shuffle exactly the I matrix despite killed clones."""
         sim = straggler_sim()
         result = sim.run()
@@ -99,7 +79,7 @@ class TestSpeculativeExecution:
         )
         assert shuffled == pytest.approx(job.I.sum(), rel=1e-6)
 
-    def test_no_speculation_on_homogeneous_fast_cluster(self):
+    def test_no_speculation_on_homogeneous_fast_cluster(self, spec_config):
         """Without stragglers, the progress gate keeps backups rare."""
         spec = JobSpec.make("01", "terasort", 12 * 64 * MB, 12, 2)
         sim = Simulation(
@@ -112,7 +92,7 @@ class TestSpeculativeExecution:
         result = sim.run()
         assert result.collector.speculative_launched <= 2
 
-    def test_cap_limits_concurrent_backups(self):
+    def test_cap_limits_concurrent_backups(self, spec_config, straggler_sim):
         cfg = spec_config(speculative_cap=0.01)  # at most 1 for a 12-map job
         sim = straggler_sim(config=cfg)
         sim.tracker.start()
@@ -126,7 +106,7 @@ class TestSpeculativeExecution:
                 )
                 assert backups <= 1
 
-    def test_determinism_with_speculation(self):
+    def test_determinism_with_speculation(self, straggler_sim):
         def fp():
             sim = straggler_sim()
             result = sim.run()
@@ -139,7 +119,7 @@ class TestSpeculativeExecution:
 
 
 class TestAttemptSemantics:
-    def test_launch_speculative_requires_running(self):
+    def test_launch_speculative_requires_running(self, straggler_sim):
         sim = straggler_sim()
         sim.tracker.start()
         sim.sim.run(until=1e-9)
@@ -148,7 +128,7 @@ class TestAttemptSemantics:
         with pytest.raises(RuntimeError):
             pending.launch_speculative(sim.cluster.nodes[0])
 
-    def test_no_duplicate_attempt_on_same_node(self):
+    def test_no_duplicate_attempt_on_same_node(self, straggler_sim):
         sim = straggler_sim()
         sim.tracker.start()
         sim.sim.run(until=1e-9)
@@ -159,7 +139,7 @@ class TestAttemptSemantics:
         with pytest.raises(RuntimeError):
             task.launch_speculative(node)
 
-    def test_d_read_reports_best_attempt(self):
+    def test_d_read_reports_best_attempt(self, straggler_sim):
         sim = straggler_sim()
         sim.tracker.start()
         sim.sim.run(until=1e-9)

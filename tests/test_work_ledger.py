@@ -10,7 +10,8 @@ its seed, so the test compares them exactly against the committed
 This catches a layer that does *more calls* than before: a refill run
 twice per tick, a selection asked twice per offer, or a rate matrix
 recomputed within one epoch (the ``network.rate_matrix`` scope opens only
-when the matrix is recomputed, so its calls count epoch-cache misses).
+on a miss of ``Cluster.inverse_rate_matrix``'s epoch cache, the one cache
+of the rate view, so its calls count misses).
 It does not catch a slower implementation of the same calls; wall time
 is the benchmark's job (``perfbench/``, declared in ``BENCHMARK.json``).
 
@@ -75,7 +76,7 @@ def _clos_faults() -> Simulation:
 
 
 def _simulations():
-    cases = {c.name: c for c in bench_cases(quick=True)}
+    cases = {c.name: c for c in bench_cases()}
     for name in SMALL_CASES:
         case = replace(cases[name], scale=0.05)
         scenario = case.scenario()
