@@ -18,12 +18,20 @@ from repro.cache import caching_disabled
 from repro.coherence import cached_on
 from repro.cluster.network import FlowNetwork
 from repro.cluster.node import Node
+from repro.cluster.pathcost import DensePathCosts, PathCosts, TreePathCosts
 from repro.cluster.topology import Topology, rack_topology
 from repro.obs import profile as _obs_profile
 from repro.sim import Simulator
 from repro.units import Gbps, MB
 
 __all__ = ["Cluster", "ClusterSpec"]
+
+
+def _positive(scale: float) -> float:
+    """A path-cost scale: views rely on it being positive (monotone)."""
+    if not scale > 0:
+        raise ValueError(f"path-cost scale must be > 0, got {scale!r}")
+    return scale
 
 
 @dataclass
@@ -125,11 +133,12 @@ class Cluster:
         # is a linkstate fabric (see repro.cluster.routing)
         self.routing = None
         self._hops = topology.hop_matrix().astype(np.float64)
-        # hot-path caches (all behaviour-invisible; REPRO_NO_CACHE bypasses)
+        # hot-path caches (all behaviour-invisible); under REPRO_NO_CACHE
+        # every @cached_on method serves its reference recompute instead
         self._no_cache = caching_disabled()
         self._free_map_view: Optional[tuple] = None
         self._free_reduce_view: Optional[tuple] = None
-        self._inv_rate_cache: Optional[tuple] = None
+        self._path_cost_cache: Optional[tuple] = None
         self._default_inv_scale: Optional[float] = None
         for node in self.nodes:
             node._slot_watcher = self._invalidate_slot_views
@@ -165,55 +174,73 @@ class Cluster:
     @cached_on(
         "network.epoch",
         inputs=("FlowNetwork._link_flows", "FlowNetwork._cap_factors"),
-        reference="_inverse_rate_matrix_uncached",
-        probe=lambda self, *, scale=None: (
-            self._inv_rate_cache is not None
-            and self._inv_rate_cache[0] == (self.network.epoch, scale)
-        ),
+        reference="_path_costs_uncached",
+        probe=lambda self, *, scale=None: self._path_costs_hit(scale),
     )
-    def inverse_rate_matrix(self, *, scale: Optional[float] = None) -> np.ndarray:
-        """The network-condition distance matrix of Section II-B-3.
+    def path_costs(self, *, scale: Optional[float] = None) -> PathCosts:
+        """The network-condition distances of Section II-B-3, as a view.
 
-        Each entry is the inverse of the live estimated path rate, i.e.
-        seconds per byte; the diagonal is zero (local placement costs
-        nothing, matching the hop-matrix convention).  ``scale`` normalises
-        the entries so their magnitude is comparable to hop counts (by
-        default the matrix is scaled so that an idle host link's inverse
-        rate maps to 2.0, the same-rack hop count).
+        Entry ``(a, b)`` is the inverse of the live estimated path rate,
+        i.e. seconds per byte, times ``scale``; the diagonal is zero (local
+        placement costs nothing, matching the hop-matrix convention) and a
+        pair whose route crosses a failed link costs +inf.  ``scale``
+        normalises the entries so their magnitude is comparable to hop
+        counts (by default an idle host link's inverse rate maps to 2.0,
+        the same-rack hop count).
+
+        The view is immutable and cached on ``(network.epoch, scale)``.  A
+        tree topology gets a :class:`~repro.cluster.pathcost.TreePathCosts`
+        over its static up-chains and this epoch's link shares, with no
+        route tensor; every other topology a dense view of the
+        route-tensor gather-min.
         """
-        if self._no_cache:
-            return self._inverse_rate_matrix_uncached(scale=scale)
-        key = (self.network.epoch, scale)
-        cached = self._inv_rate_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
+        if self._path_costs_hit(scale):
+            return self._path_cost_cache[1]
         prof = _obs_profile.ACTIVE
         if prof is not None:
             # only cache *misses* land in the profile bucket; hits cost a
             # tuple compare and stay attributed to their caller
             prof.push("network.rate_matrix")
         try:
-            rates = self.network.rate_matrix()
-            # partitioned pairs advertise rate 0 (failed fabric link on
-            # the stale route) -> inf cost, which is exactly what
-            # schedulers should see; silence only the expected
-            # divide-by-zero
-            with np.errstate(divide="ignore"):
-                inv = 1.0 / rates
-            np.fill_diagonal(inv, 0.0)
             if scale is None:
                 if self._default_inv_scale is None:
                     self._default_inv_scale = self._default_scale()
                 scale_value = self._default_inv_scale
             else:
-                scale_value = scale
-            out = inv * scale_value
-            out.setflags(write=False)
-            self._inv_rate_cache = (key, out)
-            return out
+                scale_value = _positive(scale)
+            chains = self.topology.up_chains()
+            if chains is not None:
+                shares = self.network.link_shares(chains.links)
+                view: PathCosts = TreePathCosts(chains, shares, scale_value)
+            else:
+                view = DensePathCosts(
+                    self._inverse_rates(self.network.rate_matrix(), scale_value)
+                )
+            self._path_cost_cache = ((self.network.epoch, scale), view)
+            return view
         finally:
             if prof is not None:
                 prof.pop()
+
+    def _path_costs_hit(self, scale: Optional[float]) -> bool:
+        cached = self._path_cost_cache
+        return cached is not None and cached[0] == (self.network.epoch, scale)
+
+    def inverse_rate_matrix(self, *, scale: Optional[float] = None) -> np.ndarray:
+        """:meth:`path_costs` as a dense read-only ``(k, k)`` matrix."""
+        return self.path_costs(scale=scale).dense()
+
+    @staticmethod
+    def _inverse_rates(rates: np.ndarray, scale: float) -> np.ndarray:
+        # partitioned pairs advertise rate 0 (failed fabric link on the
+        # stale route) -> inf cost, which is exactly what schedulers should
+        # see; silence only the expected divide-by-zero
+        with np.errstate(divide="ignore"):
+            inv = 1.0 / rates
+        np.fill_diagonal(inv, 0.0)
+        out = inv * scale
+        out.setflags(write=False)
+        return out
 
     def _default_scale(self) -> float:
         """Default normalisation: an idle host-access-link path (inverse
@@ -229,17 +256,13 @@ class Cluster:
                     break
         return 2.0 * (max(refs) if refs else 1.0)
 
-    def _inverse_rate_matrix_uncached(
-        self, *, scale: Optional[float] = None
-    ) -> np.ndarray:
-        """Reference path: full recompute per call (``REPRO_NO_CACHE=1``)."""
-        rates = self.network.rate_matrix()
-        with np.errstate(divide="ignore"):
-            inv = 1.0 / rates
-        np.fill_diagonal(inv, 0.0)
-        if scale is None:
-            scale = self._default_scale()
-        return inv * scale
+    def _path_costs_uncached(self, *, scale: Optional[float] = None) -> PathCosts:
+        """Reference: the per-pair ``path_rate`` walk, recomputed per call
+        (``REPRO_NO_CACHE=1`` and the cache sanitizer's shadow)."""
+        scale = self._default_scale() if scale is None else _positive(scale)
+        return DensePathCosts(
+            self._inverse_rates(self.network._rate_matrix_uncached(), scale)
+        )
 
     # ------------------------------------------------------------------
     # slot views (inputs to C_ave in Formulae 4-5)
@@ -274,11 +297,8 @@ class Cluster:
         ``Node.__setattr__``).
         """
         view = self._free_map_view
-        if view is None or self._no_cache:
-            view = self._free_map_slot_view_uncached()
-            if self._no_cache:
-                return view
-            self._free_map_view = view
+        if view is None:
+            view = self._free_map_view = self._free_map_slot_view_uncached()
         return view
 
     @cached_on(
@@ -291,11 +311,8 @@ class Cluster:
     def free_reduce_slot_view(self) -> tuple:
         """As :meth:`free_map_slot_view`, for reduce slots."""
         view = self._free_reduce_view
-        if view is None or self._no_cache:
-            view = self._free_reduce_slot_view_uncached()
-            if self._no_cache:
-                return view
-            self._free_reduce_view = view
+        if view is None:
+            view = self._free_reduce_view = self._free_reduce_slot_view_uncached()
         return view
 
     def _free_map_slot_view_uncached(self) -> tuple:

@@ -210,16 +210,18 @@ class FlowNetwork:
         self._next_fid = 0
         #: Monotone state-version counter: bumped whenever anything that
         #: affects :meth:`path_rate` changes (fabric flow attach/detach,
-        #: capacity-factor change).  Consumers cache derived matrices keyed
-        #: on this value — see ``Cluster.inverse_rate_matrix``.
+        #: capacity-factor change).  Consumers cache derived views keyed
+        #: on this value — see ``Cluster.path_costs``.
         self.epoch = 0
         self._no_cache = caching_disabled()
         # lazily built static route tensor behind rate_matrix
         self._rm_static: Optional[tuple] = None
         self._rm_route_version = -1
-        # incremental share state for rate_matrix: per-tensor-link
-        # flow counts (mirroring _link_flows, maintained on attach/detach)
-        # and effective capacities (rebuilt when the cap state changes)
+        # incremental share state for link_shares over one link list (the
+        # route tensor's or the tree chains'): per-link flow counts
+        # (mirroring _link_flows, maintained on attach/detach) and
+        # effective capacities (rebuilt when the cap state changes)
+        self._rm_links: Optional[List[LinkKey]] = None
         self._rm_sid: Optional[Dict[LinkKey, int]] = None
         self._rm_counts: Optional[np.ndarray] = None
         self._rm_eff: Optional[np.ndarray] = None
@@ -600,39 +602,21 @@ class FlowNetwork:
             rate = min(rate, share)
         return rate
 
-    def rate_matrix(self) -> np.ndarray:
-        """Matrix of :meth:`path_rate` over all host pairs.
+    def link_shares(self, links: List[LinkKey]) -> np.ndarray:
+        """Per-link fair share a *new* flow would get, over ``links``.
 
-        ``R[a, b]`` is the estimated achievable rate from host ``a`` to host
-        ``b``; the diagonal holds the local disk rate.  The paper's
-        network-condition-aware variant feeds ``1 / R`` in place of the hop
-        matrix (Section II-B-3).
-
-        The matrix is computed as one vectorised gather+min over the padded
-        ``(k, k, max_route)`` link-index tensor of
-        :meth:`Topology.route_tensor`, built lazily on the first call of
-        each routing-table version (``route_version``).  The per-link flow
-        counts and effective capacities it reads are kept up to date
-        incrementally, so a call costs one gather+min.  The matrix itself
-        is not cached here: its one consumer,
-        ``Cluster.inverse_rate_matrix``, caches its inverse keyed on
-        :attr:`epoch`.  The returned array is read-only.
-        Values are bit-identical to the per-pair :meth:`path_rate` walk
-        (same shares, and ``min`` over the same float set is exact), which
-        remains the reference path under ``REPRO_NO_CACHE=1``.
+        Entry ``i`` is ``effective_capacity / (n_flows + 1)`` of
+        ``links[i]`` — the same division :meth:`path_rate` makes — and the
+        extra last entry, the padding id, is +inf.  The counts and
+        capacities behind it are kept up to date incrementally for the
+        most recent ``links`` list (by identity), so a call costs one
+        vector division.
         """
-        if self._no_cache:
-            return self._rate_matrix_uncached()
-        route_version = getattr(self.topology, "route_version", 0)
-        if self._rm_static is None or self._rm_route_version != route_version:
-            self._rm_static = self.topology.route_tensor()
-            self._rm_route_version = route_version
-            self._rm_sid = None
-        tensor, links = self._rm_static
-        if self._rm_sid is None:
-            # (re)build the incremental share state: tensor-slot lookup,
+        if self._rm_links is not links:
+            # (re)build the incremental share state: link slot lookup,
             # per-slot live flow counts seeded from the dict ledger, and
             # a forced effective-caps refresh
+            self._rm_links = links
             self._rm_sid = {link: s for s, link in enumerate(links)}
             self._rm_counts = np.fromiter(
                 (self._link_flows.get(link, 0) for link in links),
@@ -647,13 +631,39 @@ class FlowNetwork:
                 len(links),
             )
             self._rm_eff_version = self._cap_state_version
-        # share per link is the same effective_capacity / (n_flows + 1)
-        # division as path_rate, just evaluated vectorised over the
-        # maintained count array — bit-identical values
         n_links = len(links)
         share = np.empty(n_links + 1, dtype=np.float64)
         np.divide(self._rm_eff, self._rm_counts + 1.0, out=share[:n_links])
         share[n_links] = math.inf  # padding id: never the min
+        return share
+
+    def rate_matrix(self) -> np.ndarray:
+        """Matrix of :meth:`path_rate` over all host pairs.
+
+        ``R[a, b]`` is the estimated achievable rate from host ``a`` to host
+        ``b``; the diagonal holds the local disk rate.  The paper's
+        network-condition-aware variant feeds ``1 / R`` in place of the hop
+        matrix (Section II-B-3).
+
+        The matrix is computed as one vectorised gather+min of
+        :meth:`link_shares` over the padded ``(k, k, max_route)`` link-index
+        tensor of :meth:`Topology.route_tensor`, built lazily on the first
+        call of each routing-table version (``route_version``).  The matrix
+        itself is not cached here: ``Cluster.path_costs`` caches its
+        inverse keyed on :attr:`epoch`, and reads tree topologies without
+        it.  The returned array is read-only.
+        Values are bit-identical to the per-pair :meth:`path_rate` walk
+        (same shares, and ``min`` over the same float set is exact), which
+        remains the reference path under ``REPRO_NO_CACHE=1``.
+        """
+        if self._no_cache:
+            return self._rate_matrix_uncached()
+        route_version = getattr(self.topology, "route_version", 0)
+        if self._rm_static is None or self._rm_route_version != route_version:
+            self._rm_static = self.topology.route_tensor()
+            self._rm_route_version = route_version
+        tensor, links = self._rm_static
+        share = self.link_shares(links)
         k, _, depth = tensor.shape
         kern = self._kern
         if kern is not None:

@@ -9,7 +9,10 @@ transmission rate (Section II-B-3).  This module supplies both:
   capacities.  Hop counts come from shortest paths; routes are cached and fed
   to the flow-level network simulator.  A graph whose hosts are not all
   connected is rejected by :meth:`~GraphTopology.hop_matrix`.  The route
-  tensor behind ``FlowNetwork.rate_matrix`` comes from one BFS per host.
+  tensor behind ``FlowNetwork.rate_matrix`` comes from one BFS per host;
+  a tree graph also offers its static host up-chains
+  (:meth:`~GraphTopology.up_chains`), from which path costs are read
+  without any tensor.
 * :class:`MatrixTopology` — a topology specified directly by a hop matrix,
   as in the paper's 4-node worked example (Figure 2).  Paths are modelled as
   dedicated pipes whose capacity decays with distance.
@@ -20,7 +23,9 @@ rack/ToR/core tree, a single-switch star, and a k-ary fat-tree.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import networkx as nx
 import numpy as np
@@ -29,6 +34,7 @@ from repro.units import Gbps
 
 __all__ = [
     "LinkKey",
+    "UpChains",
     "Topology",
     "GraphTopology",
     "MatrixTopology",
@@ -45,6 +51,24 @@ LinkKey = Tuple[Hashable, Hashable]
 def _canon(u: Hashable, v: Hashable) -> LinkKey:
     """Canonical undirected link key."""
     return (u, v) if repr(u) <= repr(v) else (v, u)
+
+
+class UpChains(NamedTuple):
+    """Static host-to-root chains of a tree topology.
+
+    Levels count down from the root (level 0).  Host ``a`` sits at its own
+    level ``d_a``; past it, its columns hold padding.
+    """
+
+    #: link keys; ``link_ids`` index this list and ``len(links)`` pads
+    links: List[LinkKey]
+    #: ``(depth + 1, k)``: vertex number of each host's level-``L``
+    #: ancestor (the host itself at ``d_a``), ``-(a + 1)`` past ``d_a``
+    ancestors: np.ndarray
+    #: ``(depth + 1, k)``: id of the link joining each host's level-``L``
+    #: ancestor to its level ``L - 1`` one; padding at level 0 and past
+    #: ``d_a``
+    link_ids: np.ndarray
 
 
 class Topology:
@@ -124,6 +148,10 @@ class Topology:
             tensor[b, a, : len(ids)] = ids
         return tensor, links
 
+    def up_chains(self) -> Optional[UpChains]:
+        """Host up-chains when every route is the unique tree path, else None."""
+        return None
+
     @property
     def num_hosts(self) -> int:
         return len(self.hosts)
@@ -154,6 +182,8 @@ class GraphTopology(Topology):
         self._host_index = {h: i for i, h in enumerate(self.hosts)}
         self._routes: Dict[Tuple[str, str], List[LinkKey]] = {}
         self._hops: Optional[np.ndarray] = None
+        self._chains: Optional[UpChains] = None
+        self._chains_known = False
 
     # -- interface ------------------------------------------------------
     def rack_of(self, host: str) -> str:
@@ -263,6 +293,50 @@ class GraphTopology(Topology):
             tensor[a, b, : len(ids)] = ids
             tensor[b, a] = tensor[a, b]
         return tensor, links
+
+    def up_chains(self) -> Optional[UpChains]:
+        """Each host's chain of ancestors and links up to one root.
+
+        Only a tree qualifies (``nx.is_tree``): there every route is the
+        unique path, up from one host to the two hosts' lowest common
+        ancestor and down to the other.  The root is the middle of a
+        longest path, which keeps the chains short.  Built once; the
+        chains never change.
+        """
+        if not self._chains_known:
+            self._chains_known = True
+            if nx.is_tree(self.graph):
+                self._chains = self._build_up_chains()
+        return self._chains
+
+    def _build_up_chains(self) -> UpChains:
+        graph = self.graph
+        far = nx.single_source_shortest_path_length(graph, self.hosts[0])
+        u = max(far, key=far.get)
+        far = nx.single_source_shortest_path_length(graph, u)
+        diameter = nx.shortest_path(graph, u, max(far, key=far.get))
+        root = diameter[len(diameter) // 2]
+        parent = dict(nx.bfs_predecessors(graph, root))
+        vertex = {v: i for i, v in enumerate(graph)}
+        links = list(self.links())
+        lid = {link: i for i, link in enumerate(links)}
+        chains = []
+        for host in self.hosts:
+            chain = [host]
+            while chain[-1] != root:
+                chain.append(parent[chain[-1]])
+            chain.reverse()
+            chains.append(chain)
+        depth = max(len(chain) for chain in chains) - 1
+        k = len(chains)
+        ancestors = np.empty((depth + 1, k), dtype=np.int64)
+        link_ids = np.full((depth + 1, k), len(links), dtype=np.int64)
+        for a, chain in enumerate(chains):
+            ancestors[:, a] = -(a + 1)
+            ancestors[: len(chain), a] = [vertex[v] for v in chain]
+            for level in range(1, len(chain)):
+                link_ids[level, a] = lid[_canon(chain[level - 1], chain[level])]
+        return UpChains(links, ancestors, link_ids)
 
 
 class MatrixTopology(Topology):

@@ -5,9 +5,9 @@ the convention *verifiable*.  Every cached computation declares itself with
 :func:`cached_on`::
 
     @cached_on("network.epoch", inputs=("FlowNetwork._link_flows",),
-               reference="_inverse_rate_matrix_uncached",
-               probe=lambda self: self._inv_rate_cache[0] == ...)
-    def inverse_rate_matrix(self): ...
+               reference="_path_costs_uncached",
+               probe=lambda self: self._path_cost_cache[0] == ...)
+    def path_costs(self): ...
 
 The declaration is read twice:
 
@@ -38,7 +38,10 @@ Declaration fields
     the decorated method's class.
 ``reference``
     Method name of the naive recompute used for runtime shadow execution
-    (and checked to exist by the static pass).
+    (and checked to exist by the static pass).  It is also the cache
+    bypass: when the instance's ``_no_cache`` flag is set
+    (``REPRO_NO_CACHE=1``), the wrapper returns the reference instead of
+    calling the cached method, so the method body needs no bypass branch.
 ``watcher``
     For caches invalidated through an attribute hook
     (``"Node.__setattr__"``): the static pass verifies the hook exists and
@@ -51,8 +54,9 @@ Declaration fields
     Verify the first hit and then every ``sample``-th one (pure counter —
     deterministic, no RNG draw that could shift a seeded run).
 
-The sanitizer is off by default and the wrapper then adds a single
-attribute check per call, so the hot path keeps its PR 4 profile.
+The sanitizer is off by default and the wrapper then adds the bypass
+check and a single attribute check per call, so the hot path stays
+cheap.
 """
 
 from __future__ import annotations
@@ -138,8 +142,17 @@ def sanitizer_report() -> Dict[str, Dict[str, int]]:
 
 
 def _equivalent(a: object, b: object) -> bool:
-    """Byte-exact structural equality (ndarrays compare raw buffers)."""
+    """Byte-exact structural equality (ndarrays compare raw buffers).
+
+    Objects with a ``dense()`` method (the path-cost views of
+    :mod:`repro.cluster.pathcost`) compare by the bytes of that matrix.
+    """
     import numpy as np
+
+    if hasattr(a, "dense") or hasattr(b, "dense"):
+        if not (hasattr(a, "dense") and hasattr(b, "dense")):
+            return False
+        return _equivalent(a.dense(), b.dense())
 
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         if not isinstance(a, np.ndarray) or not isinstance(b, np.ndarray):
@@ -193,6 +206,13 @@ def cached_on(
 
         @functools.wraps(fn)
         def wrapper(self, *args, **kwargs):
+            if reference is not None:
+                try:
+                    bypass = self._no_cache
+                except AttributeError:
+                    bypass = False
+                if bypass:
+                    return getattr(self, reference)(*args, **kwargs)
             if not _STATE.cache:
                 return fn(self, *args, **kwargs)
             hit = bool(probe(self, *args, **kwargs)) if probe else False

@@ -28,18 +28,20 @@ caches keyed to the *static hop matrix*:
   contributions (a completed map's ``I_hat`` row is exact and frozen, so its
   outer-product contribution can be folded in once).
 
-When the caller supplies a *different* distance matrix — the live
-inverse-rate matrix of the network-condition variant (Section II-B-3) —
-both quantities are recomputed from scratch against it.
+When the caller supplies a path-cost view instead — the live inverse
+rates of the network-condition variant (Section II-B-3), see
+:mod:`repro.cluster.pathcost` — both quantities are recomputed against it,
+reading only the entries the formulas need through its ``take``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.cache import caching_disabled
+from repro.cluster.pathcost import DensePathCosts, PathCosts
 from repro.coherence import cached_on
 from repro.core.estimator import IntermediateEstimator, ProgressEstimator
 from repro.obs import profile as _obs_profile
@@ -71,6 +73,11 @@ def finite_mean(costs: np.ndarray) -> np.ndarray:
     return np.where(count > 0, total / np.maximum(count, 1), np.inf)
 
 
+#: a distance argument: None (the static hop matrix), a path-cost view, or
+#: a dense ``(k, k)`` matrix such as a telemetry snapshot
+Distance = Union[None, np.ndarray, PathCosts]
+
+
 def map_cost_matrix(
     distance: np.ndarray,
     block_sizes: np.ndarray,
@@ -89,12 +96,29 @@ def map_cost_matrix(
 
     Returns the ``(k, m)`` cost matrix.
     """
-    k = distance.shape[0]
+    return _nearest_replica_costs(
+        DensePathCosts(distance),
+        np.arange(distance.shape[0]),
+        block_sizes,
+        replica_indices,
+    )
+
+
+def _nearest_replica_costs(
+    paths: PathCosts,
+    node_indices: np.ndarray,
+    block_sizes: np.ndarray,
+    replica_indices: Sequence[np.ndarray],
+) -> np.ndarray:
+    """Formula (1) for the ``node_indices`` rows, reading ``paths`` at
+    those nodes × the replica holders only."""
+    rows = node_indices[None, :, None]
     m = len(block_sizes)
-    out = np.empty((k, m), dtype=np.float64)
+    out = np.empty((len(node_indices), m), dtype=np.float64)
     # group maps by replica count so the nearest-replica min runs as one
-    # (k, g, r) gather per group instead of a python loop over maps; the
+    # (r, rows, g) gather per group instead of a python loop over maps; the
     # replication factor is constant in practice, so this is one group.
+    # Replica-major, the min is elementwise across r contiguous slabs.
     # min is exact (the result is one of the inputs, no rounding), so the
     # reduction order cannot change the bytes.
     by_count: dict = {}
@@ -103,7 +127,8 @@ def map_cost_matrix(
     for group in by_count.values():
         js = np.asarray(group, dtype=np.int64)
         reps = np.stack([replica_indices[j] for j in group])
-        vals = distance[:, reps].min(axis=2) * block_sizes[js]
+        vals = paths.take(rows, reps.T[:, None, :]).min(axis=0)
+        vals *= block_sizes[js]
         zero = block_sizes[js] == 0.0
         if zero.any():
             # a zero-byte block costs nothing even when every replica is
@@ -163,6 +188,10 @@ class JobCostModel:
     listeners yourself).  One model serves every scheduler that needs costs
     for the job — PNA, Coupling's centrality computation, and the greedy
     ablation all share it.
+
+    Every ``distance`` argument takes ``None`` (the static hop matrix, with
+    its incremental caches), a :class:`~repro.cluster.pathcost.PathCosts`
+    view, or a dense ``(k, k)`` matrix, which is read through a dense view.
     """
 
     def __init__(self, job: "Job") -> None:
@@ -170,7 +199,9 @@ class JobCostModel:
         cluster = job.tracker.cluster
         namenode = job.tracker.namenode
         self._hops = cluster.hop_matrix
+        self._hop_view = DensePathCosts(self._hops)
         self._k = cluster.num_nodes
+        self._all_rows = np.arange(self._k)[:, None]
         self._m = job.num_maps
         self._n = job.num_reduces
         self._B = np.array([b.size for b in job.file.blocks], dtype=np.float64)
@@ -181,14 +212,18 @@ class JobCostModel:
         self._map_cost_hops: Optional[np.ndarray] = None
         self._Sc = np.zeros((self._k, self._n), dtype=np.float64)
         self._no_cache = caching_disabled()
+        # the last dense matrix passed as a distance and its view, so one
+        # matrix keeps one view identity for the caches below
+        self._dense_view: Optional[tuple] = None
         # the netcond running cost vectors: completed-map contribution
-        # matrix against a custom distance view, keyed on (map_version,
-        # distance identity).  Holding the distance array in the key tuple
-        # pins its id, making the identity probe safe.
+        # matrix against a path-cost view, keyed on (map_version, view
+        # identity).  A view lives for one network epoch; holding it in the
+        # key tuple pins its id, making the identity probe safe.
         self._dist_done_cache: Optional[tuple] = None
         # per-offer (c_here, c_ave) bundles, keyed on the identity of the
-        # free-slot view / distance view plus map_version — consecutive
-        # offers between state changes share one evaluation
+        # distance plus the free-slot and pending index sets by content
+        # (and map_version for reduces) — consecutive offers between state
+        # changes share one evaluation
         self._map_offer_cache: Optional[tuple] = None
         self._reduce_offer_cache: Optional[tuple] = None
 
@@ -212,6 +247,15 @@ class JobCostModel:
         p = task.node.index
         self._Sc -= np.outer(self._hops[p, :], self.job.I[task.index, :])
 
+    def _path_costs(self, distance: Union[np.ndarray, PathCosts]) -> PathCosts:
+        """``distance`` as a view; a dense matrix is wrapped once."""
+        if isinstance(distance, PathCosts):
+            return distance
+        memo = self._dense_view
+        if memo is None or memo[0] is not distance:
+            memo = self._dense_view = (distance, DensePathCosts(distance))
+        return memo[1]
+
     # ------------------------------------------------------------------
     # Formula (1)
     # ------------------------------------------------------------------
@@ -219,12 +263,12 @@ class JobCostModel:
         self,
         node_indices: np.ndarray,
         task_indices: np.ndarray,
-        distance: Optional[np.ndarray] = None,
+        distance: Distance = None,
     ) -> np.ndarray:
         """Cost matrix for placing each candidate map on each node.
 
-        ``distance=None`` uses the static hop matrix (cached); passing the
-        live inverse-rate matrix recomputes against it.
+        ``distance=None`` uses the static hop matrix (cached); a path-cost
+        view is read at the candidate nodes × replica holders only.
         """
         node_indices = np.asarray(node_indices, dtype=np.int64)
         task_indices = np.asarray(task_indices, dtype=np.int64)
@@ -234,11 +278,11 @@ class JobCostModel:
                     self._hops, self._B, self._replicas
                 )
             return self._map_cost_hops[np.ix_(node_indices, task_indices)]
-        # subset the distance rows *before* the per-map replica min: each
-        # output element is the same min/multiply over the same floats, so
-        # this is byte-identical to building all k rows and row-subsetting
-        return map_cost_matrix(
-            distance[node_indices, :],
+        # each output element is the same min/multiply over the same
+        # floats as building all k rows and row-subsetting: same bytes
+        return _nearest_replica_costs(
+            self._path_costs(distance),
+            node_indices,
             self._B[task_indices],
             [self._replicas[j] for j in task_indices],
         )
@@ -252,14 +296,14 @@ class JobCostModel:
         reduce_indices: np.ndarray,
         now: float,
         estimator: Optional[IntermediateEstimator] = None,
-        distance: Optional[np.ndarray] = None,
+        distance: Distance = None,
     ) -> np.ndarray:
         """Estimated cost matrix for placing each candidate reduce on each node.
 
         Sums contributions from every *started* map: completed maps count
         their exact output, running maps the estimator's ``I_hat`` row.
         With the default hop matrix the completed part comes from the
-        incremental ``Sc`` cache; a custom ``distance`` recomputes everything.
+        incremental ``Sc`` cache; a path-cost view recomputes everything.
         """
         prof = _obs_profile.ACTIVE
         if prof is not None:
@@ -272,21 +316,15 @@ class JobCostModel:
             running = self.job.running_maps()
             if distance is None:
                 base = self._Sc[np.ix_(node_indices, reduce_indices)]
-                dmat = self._hops
+                paths = self._hop_view
             else:
                 # the completed-map part is a gather from the full (k, n)
                 # contribution matrix — the netcond analogue of ``Sc`` —
-                # so consecutive offers against one distance snapshot pay
-                # for the matmul once.  The naive path computes the same
-                # full matrix per call: gathering from an identically
-                # shaped matmul keeps the BLAS kernel (and therefore the
-                # bytes) the same on both sides.
-                dmat = distance
-                if self._no_cache:
-                    cd = self._distance_done_matrix_uncached(dmat)
-                else:
-                    cd = self._distance_done_matrix(dmat)
-                base = cd[np.ix_(node_indices, reduce_indices)]
+                # so consecutive offers against one view pay for the
+                # matmul once
+                paths = self._path_costs(distance)
+                done = self._distance_done_matrix(paths)
+                base = done[np.ix_(node_indices, reduce_indices)]
 
             if running:
                 if self._no_cache:
@@ -301,47 +339,52 @@ class JobCostModel:
                     est_rows = est.estimate_many(running, now)
                 est_rows = est_rows[:, reduce_indices]
                 base = base + _inf_safe_matmul(
-                    dmat[np.ix_(node_indices, p_run)], est_rows
+                    paths.take(node_indices[:, None], p_run[None]), est_rows
                 )
             return base
         finally:
             if prof is not None:
                 prof.pop()
 
+    def _done_hit(self, paths: PathCosts) -> bool:
+        cached = self._dist_done_cache
+        return (
+            cached is not None
+            and cached[0] == self.job.map_version
+            and cached[1] is paths
+        )
+
     @cached_on(
         "job.map_version",
         reference="_distance_done_matrix_uncached",
-        probe=lambda self, dmat: (
-            self._dist_done_cache is not None
-            and self._dist_done_cache[0] == self.job.map_version
-            and self._dist_done_cache[1] is dmat
-        ),
+        probe=lambda self, paths: self._done_hit(paths),
     )
-    def _distance_done_matrix(self, dmat: np.ndarray) -> np.ndarray:
-        """Completed-map reduce contributions against a custom distance.
+    def _distance_done_matrix(self, paths: PathCosts) -> np.ndarray:
+        """Completed-map reduce contributions against a path-cost view.
 
         The full ``(k, n)`` netcond analogue of the ``Sc`` accumulator:
-        ``sum_{j done} d[:, p_j] * I[j, :]``, keyed on (map_version,
-        distance identity) so every offer against one telemetry snapshot
-        shares a single matmul.
+        ``sum_{j done} d[:, p_j] * I[j, :]``, keyed on (map_version, view
+        identity) so every offer within one epoch shares a single matmul.
         """
-        version = self.job.map_version
-        cached = self._dist_done_cache
-        if cached is not None and cached[0] == version and cached[1] is dmat:
-            return cached[2]
-        cd = self._distance_done_matrix_uncached(dmat)
-        cd.setflags(write=False)
-        self._dist_done_cache = (version, dmat, cd)
-        return cd
+        if not self._done_hit(paths):
+            cd = self._distance_done_matrix_uncached(paths)
+            cd.setflags(write=False)
+            self._dist_done_cache = (self.job.map_version, paths, cd)
+        return self._dist_done_cache[2]
 
-    def _distance_done_matrix_uncached(self, dmat: np.ndarray) -> np.ndarray:
+    def _distance_done_matrix_uncached(self, paths: PathCosts) -> np.ndarray:
         """Reference recompute behind :meth:`_distance_done_matrix`."""
         done = [m for m in self.job.maps if m.done]
         if not done:
-            return np.zeros((dmat.shape[0], self._n))
+            return np.zeros((self._k, self._n))
         p = np.fromiter((m.node.index for m in done), np.int64, len(done))
         idx = np.fromiter((m.index for m in done), np.int64, len(done))
-        return _inf_safe_matmul(dmat[:, p], self.job.I[idx, :])
+        # all k rows x the done-map columns, whatever the view, laid out
+        # column-major as the ``d[:, p]`` gather of a dense matrix is: one
+        # (k, m') @ (m', n) matmul shape and layout, so BLAS runs the same
+        # kernel and gives the same bytes
+        cols = np.asfortranarray(paths.take(self._all_rows, p[None]))
+        return _inf_safe_matmul(cols, self.job.I[idx, :])
 
     def realised_reduce_costs(
         self, node_indices: np.ndarray, reduce_indices: np.ndarray
@@ -371,15 +414,23 @@ class JobCostModel:
     # ------------------------------------------------------------------
     # per-offer bundles — Formulae (4)-(5) inputs
     # ------------------------------------------------------------------
+    def _map_offer_hit(
+        self, node_indices: np.ndarray, task_indices: np.ndarray, distance
+    ) -> bool:
+        cached = self._map_offer_cache
+        return (
+            cached is not None
+            and cached[0] is distance
+            and np.array_equal(cached[1], node_indices)
+            and np.array_equal(cached[2], task_indices)
+        )
+
     @cached_on(
         # content-keyed: the key arrays themselves are the version — a hit
         # requires byte-equal index sets and the identical distance object
         reference="_map_offer_costs_uncached",
         probe=lambda self, row, node_indices, task_indices, distance=None: (
-            self._map_offer_cache is not None
-            and self._map_offer_cache[0] is distance
-            and np.array_equal(self._map_offer_cache[1], node_indices)
-            and np.array_equal(self._map_offer_cache[2], task_indices)
+            self._map_offer_hit(node_indices, task_indices, distance)
         ),
     )
     def map_offer_costs(
@@ -387,7 +438,7 @@ class JobCostModel:
         row: int,
         node_indices: np.ndarray,
         task_indices: np.ndarray,
-        distance: Optional[np.ndarray] = None,
+        distance: Distance = None,
     ) -> tuple:
         """``(C_here, C_ave)`` for a map offer from free-view row ``row``.
 
@@ -399,19 +450,7 @@ class JobCostModel:
         between genuine set changes then share one evaluation; only the
         row gather is per-offer.
         """
-        if self._no_cache:
-            return self._map_offer_costs_uncached(
-                row, node_indices, task_indices, distance
-            )
-        cached = self._map_offer_cache
-        if (
-            cached is not None
-            and cached[0] is distance
-            and np.array_equal(cached[1], node_indices)
-            and np.array_equal(cached[2], task_indices)
-        ):
-            costs, c_ave = cached[3], cached[4]
-        else:
+        if not self._map_offer_hit(node_indices, task_indices, distance):
             costs = self.map_costs(node_indices, task_indices, distance)
             c_ave = finite_mean(costs)
             costs.setflags(write=False)
@@ -419,6 +458,7 @@ class JobCostModel:
             self._map_offer_cache = (
                 distance, node_indices, task_indices, costs, c_ave
             )
+        costs, c_ave = self._map_offer_cache[3:]
         return costs[row], c_ave
 
     def _map_offer_costs_uncached(
@@ -426,23 +466,31 @@ class JobCostModel:
         row: int,
         node_indices: np.ndarray,
         task_indices: np.ndarray,
-        distance: Optional[np.ndarray] = None,
+        distance: Distance = None,
     ) -> tuple:
         """Reference recompute behind :meth:`map_offer_costs`: evaluate the
         whole cost matrix for this one offer, exactly as a cache miss."""
         costs = self.map_costs(node_indices, task_indices, distance)
         return costs[row], finite_mean(costs)
 
+    def _reduce_offer_hit(
+        self, node_indices: np.ndarray, reduce_indices: np.ndarray, distance
+    ) -> bool:
+        cached = self._reduce_offer_cache
+        return (
+            cached is not None
+            and cached[0] == self.job.map_version
+            and cached[1] is distance
+            and np.array_equal(cached[2], node_indices)
+            and np.array_equal(cached[3], reduce_indices)
+        )
+
     @cached_on(
         "job.map_version",
         reference="_reduce_offer_costs_uncached",
         probe=lambda self, row, node_indices, reduce_indices, now,
         estimator=None, distance=None: (
-            self._reduce_offer_cache is not None
-            and self._reduce_offer_cache[0] == self.job.map_version
-            and self._reduce_offer_cache[1] is distance
-            and np.array_equal(self._reduce_offer_cache[2], node_indices)
-            and np.array_equal(self._reduce_offer_cache[3], reduce_indices)
+            self._reduce_offer_hit(node_indices, reduce_indices, distance)
         ),
     )
     def reduce_offer_costs(
@@ -452,7 +500,7 @@ class JobCostModel:
         reduce_indices: np.ndarray,
         now: float,
         estimator: Optional[IntermediateEstimator] = None,
-        distance: Optional[np.ndarray] = None,
+        distance: Distance = None,
     ) -> tuple:
         """``(C_here, C_ave)`` for a reduce offer from free-view row ``row``.
 
@@ -463,28 +511,12 @@ class JobCostModel:
         ``map_version`` (done contributions) plus the distance snapshot by
         identity and both index sets by content.
         """
-        if self._no_cache:
+        if self.job.running_maps():
             return self._reduce_offer_costs_uncached(
                 row, node_indices, reduce_indices, now,
                 estimator=estimator, distance=distance,
             )
-        if self.job.running_maps():
-            costs = self.reduce_costs(
-                node_indices, reduce_indices, now,
-                estimator=estimator, distance=distance,
-            )
-            return costs[row], finite_mean(costs)
-        version = self.job.map_version
-        cached = self._reduce_offer_cache
-        if (
-            cached is not None
-            and cached[0] == version
-            and cached[1] is distance
-            and np.array_equal(cached[2], node_indices)
-            and np.array_equal(cached[3], reduce_indices)
-        ):
-            costs, c_ave = cached[4], cached[5]
-        else:
+        if not self._reduce_offer_hit(node_indices, reduce_indices, distance):
             costs = self.reduce_costs(
                 node_indices, reduce_indices, now,
                 estimator=estimator, distance=distance,
@@ -493,8 +525,10 @@ class JobCostModel:
             costs.setflags(write=False)
             c_ave.setflags(write=False)
             self._reduce_offer_cache = (
-                version, distance, node_indices, reduce_indices, costs, c_ave
+                self.job.map_version, distance, node_indices, reduce_indices,
+                costs, c_ave,
             )
+        costs, c_ave = self._reduce_offer_cache[4:]
         return costs[row], c_ave
 
     def _reduce_offer_costs_uncached(
@@ -504,7 +538,7 @@ class JobCostModel:
         reduce_indices: np.ndarray,
         now: float,
         estimator: Optional[IntermediateEstimator] = None,
-        distance: Optional[np.ndarray] = None,
+        distance: Distance = None,
     ) -> tuple:
         """Reference recompute behind :meth:`reduce_offer_costs`."""
         costs = self.reduce_costs(

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 
-from repro.core.cost import JobCostModel
+from repro.core.cost import Distance, JobCostModel
 from repro.core.estimator import IntermediateEstimator, ProgressEstimator
 from repro.core.probability import ExponentialModel, ProbabilityModel
 from repro.schedulers.base import SchedulerContext, TaskScheduler
@@ -105,8 +105,9 @@ class ProbabilisticNetworkAwareScheduler(TaskScheduler):
     def cost_model(self, job: "Job") -> JobCostModel:
         return self._models[job.spec.job_id]
 
-    def _distance(self, ctx: SchedulerContext) -> Optional[np.ndarray]:
-        """None selects the cached hop matrix; otherwise live inverse rates.
+    def _distance(self, ctx: SchedulerContext) -> Distance:
+        """None selects the cached hop matrix; otherwise live inverse rates
+        (the cluster's per-epoch path-cost view).
 
         With a telemetry monitor attached the scheduler sees the
         measurement plane's possibly stale/noisy view (per-path hop-count
@@ -118,7 +119,7 @@ class ProbabilisticNetworkAwareScheduler(TaskScheduler):
         monitor = ctx.telemetry
         if monitor is not None:
             return monitor.distance_matrix(ctx.now)
-        return ctx.cluster.inverse_rate_matrix()
+        return ctx.cluster.path_costs()
 
     # ------------------------------------------------------------------
     # Algorithm 1 — map placement

@@ -87,6 +87,7 @@ class Job:
         # the task lifecycle methods (launch / finish / reset).  The
         # ``map_version`` counter lets external caches (JobCostModel's
         # completed-map arrays) key on "any map changed state/placement".
+        # Under REPRO_NO_CACHE, @cached_on serves each view's reference.
         self._no_cache = caching_disabled()
         self.map_version = 0
         self.reduce_version = 0
@@ -136,8 +137,6 @@ class Job:
         probe=lambda self: self._pending_maps is not None,
     )
     def pending_maps(self) -> List[MapTask]:
-        if self._no_cache:
-            return self._pending_maps_uncached()
         if self._pending_maps is None:
             self._pending_maps = self._pending_maps_uncached()
         return self._pending_maps
@@ -150,8 +149,6 @@ class Job:
         probe=lambda self: self._pending_reduces is not None,
     )
     def pending_reduces(self) -> List[ReduceTask]:
-        if self._no_cache:
-            return self._pending_reduces_uncached()
         if self._pending_reduces is None:
             self._pending_reduces = self._pending_reduces_uncached()
         return self._pending_reduces
@@ -166,8 +163,6 @@ class Job:
         probe=lambda self: self._running_maps is not None,
     )
     def running_maps(self) -> List[MapTask]:
-        if self._no_cache:
-            return self._running_maps_uncached()
         if self._running_maps is None:
             self._running_maps = self._running_maps_uncached()
         return self._running_maps
@@ -179,8 +174,6 @@ class Job:
         probe=lambda self: self._running_reduces is not None,
     )
     def running_reduces(self) -> List[ReduceTask]:
-        if self._no_cache:
-            return self._running_reduces_uncached()
         if self._running_reduces is None:
             self._running_reduces = self._running_reduces_uncached()
         return self._running_reduces
@@ -205,10 +198,6 @@ class Job:
     )
     def pending_map_index_array(self) -> np.ndarray:
         """Indices of pending maps, in task order (read-only int64)."""
-        if self._no_cache:
-            return np.array(
-                [m.index for m in self.pending_maps()], dtype=np.int64
-            )
         if self._pending_map_idx is None:
             idx = self._pending_map_index_array_uncached()
             idx.setflags(write=False)
@@ -223,10 +212,6 @@ class Job:
     )
     def pending_reduce_index_array(self) -> np.ndarray:
         """Indices of pending reduces, in task order (read-only int64)."""
-        if self._no_cache:
-            return np.array(
-                [r.index for r in self.pending_reduces()], dtype=np.int64
-            )
         if self._pending_reduce_idx is None:
             idx = self._pending_reduce_index_array_uncached()
             idx.setflags(write=False)
@@ -241,10 +226,6 @@ class Job:
     )
     def running_map_node_index_array(self) -> np.ndarray:
         """Node index of each running map, aligned with :meth:`running_maps`."""
-        if self._no_cache:
-            return np.array(
-                [m.node.index for m in self.running_maps()], dtype=np.int64
-            )
         if self._running_map_nodes is None:
             idx = self._running_map_node_index_array_uncached()
             idx.setflags(write=False)

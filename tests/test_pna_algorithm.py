@@ -183,8 +183,9 @@ class TestNetworkConditionVariant:
         node = sim.cluster.nodes[0]
         task = sched.select_map(node, job, ctx)
         assert task is not None
-        # distance callable returns a matrix, not None
+        # the distance is the cluster's path-cost view, not None
         d = sched._distance(ctx)
-        assert d is not None
-        assert d.shape == (6, 6)
-        assert np.all(np.diag(d) == 0.0)
+        assert d is ctx.cluster.path_costs()
+        dense = d.dense()
+        assert dense.shape == (6, 6)
+        assert np.all(np.diag(dense) == 0.0)

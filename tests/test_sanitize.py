@@ -5,7 +5,7 @@ double as runtime contracts: with the sanitizer on, every declared cache
 shadow-executes its naive ``reference`` recompute on a deterministic sample
 of cache hits and asserts byte-equality.  The end-to-end test drives a
 network-condition PNA run — the only scheduler mode that exercises
-``Cluster.inverse_rate_matrix`` and
+``Cluster.path_costs`` and
 ``JobCostModel._distance_done_matrix`` — and demands at least one
 shadow-verified hit per declared cache layer.
 """
@@ -15,6 +15,9 @@ from __future__ import annotations
 import pytest
 
 from repro import ClusterSpec, EngineConfig, Simulation, table2_batch
+from repro.cluster import Cluster, FlowNetwork
+from repro.cluster.pathcost import TreePathCosts
+from repro.cluster.topology import GraphTopology, Topology, rack_topology
 from repro.coherence import (
     DECLARATIONS,
     CacheCoherenceError,
@@ -25,6 +28,8 @@ from repro.coherence import (
     set_sanitize_cache,
 )
 from repro.core import PNAConfig, ProbabilisticNetworkAwareScheduler
+from repro.sim import Simulator
+from repro.units import MB
 
 
 @pytest.fixture
@@ -60,7 +65,7 @@ def test_netcond_run_shadow_verifies_every_layer(sanitizer):
     report = sanitizer_report()
     # the PR 4 cache layers are all registered...
     for layer in (
-        "Cluster.inverse_rate_matrix",
+        "Cluster.path_costs",
         "Cluster.free_map_slot_view",
         "Cluster.free_reduce_slot_view",
         "Job.pending_maps",
@@ -77,6 +82,49 @@ def test_netcond_run_shadow_verifies_every_layer(sanitizer):
             continue
         assert counters["hits"] >= 1, f"{name}: no cache hit in netcond run"
         assert counters["verified"] >= 1, f"{name}: never shadow-verified"
+
+
+def test_tree_path_costs_verified_against_per_pair_walk(sanitizer, monkeypatch):
+    """On a rack tree the netcond distances come from the tensor-free tree
+    view, and its cache hits are shadow-verified against the per-pair
+    ``path_rate`` walk, one walk per verification."""
+
+    def no_tensor(self):
+        raise AssertionError("route tensor built on a tree")
+
+    monkeypatch.setattr(Topology, "route_tensor", no_tensor)
+    monkeypatch.setattr(GraphTopology, "route_tensor", no_tensor)
+    walks = []
+    walk = FlowNetwork._rate_matrix_uncached
+
+    def counted_walk(self):
+        walks.append(self)
+        return walk(self)
+
+    monkeypatch.setattr(FlowNetwork, "_rate_matrix_uncached", counted_walk)
+    sim = Simulation(
+        cluster=ClusterSpec(num_racks=3, nodes_per_rack=4),
+        scheduler=ProbabilisticNetworkAwareScheduler(
+            PNAConfig(network_condition=True)
+        ),
+        jobs=table2_batch("grep", scale=0.05)[:3],
+        seed=5,
+    )
+    sim.run()
+    counters = sanitizer_report()["Cluster.path_costs"]
+    assert counters["verified"] >= 2
+    assert len(walks) == counters["verified"]
+    assert isinstance(sim.cluster._path_cost_cache[1], TreePathCosts)
+
+
+def test_stale_path_cost_view_is_caught(sanitizer):
+    cluster = Cluster(Simulator(), rack_topology(2, 3))
+    stale = cluster.path_costs()
+    cluster.network.start_flow("r0n0", "r1n0", 100 * MB)
+    # the seeded defect: the new epoch keys the old epoch's view
+    cluster._path_cost_cache = ((cluster.network.epoch, None), stale)
+    with pytest.raises(CacheCoherenceError, match="Cluster.path_costs"):
+        cluster.path_costs()
 
 
 def test_sanitized_run_is_trace_identical_to_plain_run(tmp_path, sanitizer):
