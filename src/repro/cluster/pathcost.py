@@ -9,7 +9,7 @@ asks a :class:`PathCosts` view for exactly those entries through
 :meth:`~PathCosts.take` instead of holding a dense ``k × k`` matrix.
 
 A view is immutable and belongs to one network epoch
-(``Cluster.path_costs`` caches it on ``(epoch, scale)``), so consumers may
+(``Cluster.path_costs`` serves one per epoch), so consumers may
 key their own caches on its identity.  Two implementations:
 
 * :class:`DensePathCosts` wraps a dense matrix: the route-tensor

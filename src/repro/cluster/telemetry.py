@@ -13,7 +13,7 @@ measurement plane:
   ``drop_prob`` per path per sampling round.
 * :class:`TelemetryMonitor` — holds the last measured inverse-rate for
   every directed node pair plus its timestamp.  Schedulers call
-  :meth:`TelemetryMonitor.distance_matrix`, which degrades *per path*:
+  :meth:`TelemetryMonitor.path_costs`, which degrades *per path*:
   fresh paths use the measured value, stale paths fall back to the
   static hop-count distance (the information that never goes stale).
   When every path is stale the call returns ``None`` — the exact
@@ -38,6 +38,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
+
+from repro.cluster.pathcost import DensePathCosts, PathCosts
 
 from repro.trace.events import StaleTelemetry
 from repro.trace.recorder import NullRecorder
@@ -127,7 +129,7 @@ class TelemetryMonitor:
         self._version = 0
         self._last_stale_count = 0
         self._cache_key: Optional[tuple] = None
-        self._cache_val: Optional[np.ndarray] = None
+        self._cache_val: Optional[PathCosts] = None
 
     # ------------------------------------------------------------------
     def sample(self) -> None:
@@ -163,12 +165,13 @@ class TelemetryMonitor:
         np.fill_diagonal(stale, False)
         return stale
 
-    def distance_matrix(self, now: float) -> Optional[np.ndarray]:
+    def path_costs(self, now: float) -> Optional[PathCosts]:
         """The scheduler-facing view at time ``now``.
 
         Returns ``None`` when *every* path is stale — the sentinel the
-        cost model maps to its hop-count path — otherwise a matrix mixing
-        fresh measurements with hop-count fallbacks per stale path.
+        cost model maps to its hop-count path — otherwise a dense
+        path-cost view mixing fresh measurements with hop-count fallbacks
+        per stale path.  One view is cached per ``(now, sample round)``.
         """
         if self.config.period == 0:
             self.sample()
@@ -187,19 +190,21 @@ class TelemetryMonitor:
                     )
                 )
         if stale_count == total:
-            view: Optional[np.ndarray] = None
+            view: Optional[PathCosts] = None
         elif stale_count == 0:
             # snapshot, never the live ``_inv`` buffer: downstream caches
-            # (JobCostModel._distance_done_matrix) key on array *identity*,
-            # and ``sample()`` overwrites ``_inv`` in place — handing it
-            # out would let a later round mutate a matrix the cost model
+            # (JobCostModel._distance_done_matrix) key on view *identity*,
+            # and ``sample()`` overwrites ``_inv`` in place — viewing it
+            # would let a later round mutate a matrix the cost model
             # still believes it has already reduced
-            view = self._inv.copy()
-            view.setflags(write=False)
+            snapshot = self._inv.copy()
+            snapshot.setflags(write=False)
+            view = DensePathCosts(snapshot)
         else:
-            view = np.where(stale, self.cluster.hop_matrix, self._inv)
-            np.fill_diagonal(view, 0.0)
-            view.setflags(write=False)
+            mixed = np.where(stale, self.cluster.hop_matrix, self._inv)
+            np.fill_diagonal(mixed, 0.0)
+            mixed.setflags(write=False)
+            view = DensePathCosts(mixed)
         self._cache_key = key
         self._cache_val = view
         return view

@@ -5,9 +5,9 @@ the convention *verifiable*.  Every cached computation declares itself with
 :func:`cached_on`::
 
     @cached_on("network.epoch", inputs=("FlowNetwork._link_flows",),
-               reference="_path_costs_uncached",
-               probe=lambda self: self._path_cost_cache[0] == ...)
-    def path_costs(self): ...
+               reference="_inverse_rate_matrix_uncached",
+               probe=lambda self: self._rate_view[0] == ...)
+    def inverse_rate_matrix(self): ...
 
 The declaration is read twice:
 

@@ -36,7 +36,7 @@ reading only the entries the formulas need through its ``take``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
@@ -73,9 +73,8 @@ def finite_mean(costs: np.ndarray) -> np.ndarray:
     return np.where(count > 0, total / np.maximum(count, 1), np.inf)
 
 
-#: a distance argument: None (the static hop matrix), a path-cost view, or
-#: a dense ``(k, k)`` matrix such as a telemetry snapshot
-Distance = Union[None, np.ndarray, PathCosts]
+#: a distance argument: None (the static hop matrix) or a path-cost view
+Distance = Optional[PathCosts]
 
 
 def map_cost_matrix(
@@ -190,8 +189,8 @@ class JobCostModel:
     ablation all share it.
 
     Every ``distance`` argument takes ``None`` (the static hop matrix, with
-    its incremental caches), a :class:`~repro.cluster.pathcost.PathCosts`
-    view, or a dense ``(k, k)`` matrix, which is read through a dense view.
+    its incremental caches) or a :class:`~repro.cluster.pathcost.PathCosts`
+    view; wrap a dense ``(k, k)`` matrix in a ``DensePathCosts``.
     """
 
     def __init__(self, job: "Job") -> None:
@@ -212,9 +211,6 @@ class JobCostModel:
         self._map_cost_hops: Optional[np.ndarray] = None
         self._Sc = np.zeros((self._k, self._n), dtype=np.float64)
         self._no_cache = caching_disabled()
-        # the last dense matrix passed as a distance and its view, so one
-        # matrix keeps one view identity for the caches below
-        self._dense_view: Optional[tuple] = None
         # the netcond running cost vectors: completed-map contribution
         # matrix against a path-cost view, keyed on (map_version, view
         # identity).  A view lives for one network epoch; holding it in the
@@ -247,15 +243,6 @@ class JobCostModel:
         p = task.node.index
         self._Sc -= np.outer(self._hops[p, :], self.job.I[task.index, :])
 
-    def _path_costs(self, distance: Union[np.ndarray, PathCosts]) -> PathCosts:
-        """``distance`` as a view; a dense matrix is wrapped once."""
-        if isinstance(distance, PathCosts):
-            return distance
-        memo = self._dense_view
-        if memo is None or memo[0] is not distance:
-            memo = self._dense_view = (distance, DensePathCosts(distance))
-        return memo[1]
-
     # ------------------------------------------------------------------
     # Formula (1)
     # ------------------------------------------------------------------
@@ -281,7 +268,7 @@ class JobCostModel:
         # each output element is the same min/multiply over the same
         # floats as building all k rows and row-subsetting: same bytes
         return _nearest_replica_costs(
-            self._path_costs(distance),
+            distance,
             node_indices,
             self._B[task_indices],
             [self._replicas[j] for j in task_indices],
@@ -322,8 +309,8 @@ class JobCostModel:
                 # contribution matrix — the netcond analogue of ``Sc`` —
                 # so consecutive offers against one view pay for the
                 # matmul once
-                paths = self._path_costs(distance)
-                done = self._distance_done_matrix(paths)
+                paths = distance
+                done = self._distance_done_matrix(distance)
                 base = done[np.ix_(node_indices, reduce_indices)]
 
             if running:

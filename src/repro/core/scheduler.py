@@ -118,7 +118,7 @@ class ProbabilisticNetworkAwareScheduler(TaskScheduler):
             return None
         monitor = ctx.telemetry
         if monitor is not None:
-            return monitor.distance_matrix(ctx.now)
+            return monitor.path_costs(ctx.now)
         return ctx.cluster.path_costs()
 
     # ------------------------------------------------------------------

@@ -345,7 +345,7 @@ class TestCoherence:
         decls = collect_declarations(project)
         assert len(decls) >= 10  # network, cluster, job, cost + CACHE_DEPS
         qualnames = {d.qualname for d in decls}
-        assert "Cluster.path_costs" in qualnames
+        assert "Cluster.inverse_rate_matrix" in qualnames
         assert "FlowNetwork._refill" in qualnames
         assert "Job.pending_maps" in qualnames
 

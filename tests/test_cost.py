@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, paper_example_topology
+from repro.cluster.pathcost import DensePathCosts
 from repro.core import (
     JobCostModel,
     OracleEstimator,
@@ -197,7 +198,7 @@ class TestJobCostModel:
         # doubling the distance matrix doubles every cost
         base = model.reduce_costs(nodes, reduces, sim.sim.now)
         doubled = model.reduce_costs(
-            nodes, reduces, sim.sim.now, distance=2.0 * sim.cluster.hop_matrix
+            nodes, reduces, sim.sim.now, distance=DensePathCosts(2.0 * sim.cluster.hop_matrix)
         )
         assert np.allclose(doubled, 2 * base)
 

@@ -116,7 +116,7 @@ def test_tree_view_matches_per_pair_reference(topo, seed, flows, factors, down):
     view = cluster.path_costs()
     assert isinstance(view, TreePathCosts)
     dense = view.dense()
-    reference = cluster._path_costs_uncached().dense()
+    reference = cluster._inverse_rate_matrix_uncached()
     assert dense.tobytes() == reference.tobytes()
     assert not np.diag(dense).any()
     cut = np.array([[net.pair_blocked(a, b) for b in hosts] for a in hosts])
@@ -131,11 +131,13 @@ def test_tree_view_matches_per_pair_reference(topo, seed, flows, factors, down):
     on_view, on_dense = JobCostModel(job), JobCostModel(job)
     assert (
         on_view.map_costs(nodes, tasks, view).tobytes()
-        == on_dense.map_costs(nodes, tasks, dense).tobytes()
+        == on_dense.map_costs(nodes, tasks, DensePathCosts(dense)).tobytes()
     )
     assert (
         on_view.reduce_costs(nodes, reduces, now, distance=view).tobytes()
-        == on_dense.reduce_costs(nodes, reduces, now, distance=dense).tobytes()
+        == on_dense.reduce_costs(
+            nodes, reduces, now, distance=DensePathCosts(dense)
+        ).tobytes()
     )
 
 
@@ -170,7 +172,7 @@ def test_families_get_the_right_view(family_topology, tensor_builds):
     else:
         assert isinstance(view, DensePathCosts)
         assert tensor_builds
-    reference = cluster._path_costs_uncached().dense()
+    reference = cluster._inverse_rate_matrix_uncached()
     assert view.dense().tobytes() == reference.tobytes()
     assert cluster.inverse_rate_matrix() is view.dense()
 

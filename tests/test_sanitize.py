@@ -5,7 +5,7 @@ double as runtime contracts: with the sanitizer on, every declared cache
 shadow-executes its naive ``reference`` recompute on a deterministic sample
 of cache hits and asserts byte-equality.  The end-to-end test drives a
 network-condition PNA run — the only scheduler mode that exercises
-``Cluster.path_costs`` and
+``Cluster.inverse_rate_matrix`` and
 ``JobCostModel._distance_done_matrix`` — and demands at least one
 shadow-verified hit per declared cache layer.
 """
@@ -65,7 +65,7 @@ def test_netcond_run_shadow_verifies_every_layer(sanitizer):
     report = sanitizer_report()
     # the PR 4 cache layers are all registered...
     for layer in (
-        "Cluster.path_costs",
+        "Cluster.inverse_rate_matrix",
         "Cluster.free_map_slot_view",
         "Cluster.free_reduce_slot_view",
         "Job.pending_maps",
@@ -111,10 +111,10 @@ def test_tree_path_costs_verified_against_per_pair_walk(sanitizer, monkeypatch):
         seed=5,
     )
     sim.run()
-    counters = sanitizer_report()["Cluster.path_costs"]
+    counters = sanitizer_report()["Cluster.inverse_rate_matrix"]
     assert counters["verified"] >= 2
     assert len(walks) == counters["verified"]
-    assert isinstance(sim.cluster._path_cost_cache[1], TreePathCosts)
+    assert isinstance(sim.cluster._rate_view[1], TreePathCosts)
 
 
 def test_stale_path_cost_view_is_caught(sanitizer):
@@ -122,8 +122,8 @@ def test_stale_path_cost_view_is_caught(sanitizer):
     stale = cluster.path_costs()
     cluster.network.start_flow("r0n0", "r1n0", 100 * MB)
     # the seeded defect: the new epoch keys the old epoch's view
-    cluster._path_cost_cache = ((cluster.network.epoch, None), stale)
-    with pytest.raises(CacheCoherenceError, match="Cluster.path_costs"):
+    cluster._rate_view = (cluster.network.epoch, stale)
+    with pytest.raises(CacheCoherenceError, match="Cluster.inverse_rate_matrix"):
         cluster.path_costs()
 
 

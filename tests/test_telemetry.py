@@ -80,18 +80,18 @@ def make_monitor(config, seed=0):
 class TestMonitorMechanics:
     def test_unsampled_monitor_is_fully_blind(self):
         _, _, mon = make_monitor(TelemetryConfig(period=5.0))
-        assert mon.distance_matrix(0.0) is None
+        assert mon.path_costs(0.0) is None
         assert mon.samples_taken == 0
 
     def test_fresh_sample_matches_oracle_exactly(self):
         _, cluster, mon = make_monitor(TelemetryConfig(period=5.0))
         mon.sample()
-        view = mon.distance_matrix(0.0)
+        view = mon.path_costs(0.0).dense()
         np.testing.assert_array_equal(view, cluster.inverse_rate_matrix())
 
     def test_period_zero_reads_through(self):
         _, cluster, mon = make_monitor(TelemetryConfig(period=0.0))
-        view = mon.distance_matrix(0.0)
+        view = mon.path_costs(0.0).dense()
         assert mon.samples_taken == 1
         np.testing.assert_array_equal(view, cluster.inverse_rate_matrix())
 
@@ -100,8 +100,8 @@ class TestMonitorMechanics:
             TelemetryConfig(period=5.0, staleness_budget=15.0)
         )
         mon.sample()  # at t=0
-        assert mon.distance_matrix(15.0) is not None  # == budget: still fresh
-        assert mon.distance_matrix(15.1) is None      # > budget: blind
+        assert mon.path_costs(15.0) is not None  # == budget: still fresh
+        assert mon.path_costs(15.1) is None      # > budget: blind
 
     def test_partial_staleness_mixes_hops_and_measurements(self):
         _, cluster, mon = make_monitor(
@@ -113,7 +113,7 @@ class TestMonitorMechanics:
         mon.sample()            # t=5: another coin flip per path
         stale = mon.stale_mask(12.0)  # t=0 measurements are now stale
         assert 0 < stale.sum() < stale.size - stale.shape[0]
-        view = mon.distance_matrix(12.0)
+        view = mon.path_costs(12.0).dense()
         hops = cluster.hop_matrix
         oracle = cluster.inverse_rate_matrix()
         np.testing.assert_array_equal(view[stale], hops[stale])
@@ -158,9 +158,9 @@ class TestMonitorMechanics:
             np.random.default_rng(0), recorder=recorder,
         )
         mon.sample()
-        mon.distance_matrix(1.0)   # all fresh — no change from initial 0
-        mon.distance_matrix(11.0)  # all stale — one event
-        mon.distance_matrix(12.0)  # still all stale — no new event
+        mon.path_costs(1.0)   # all fresh — no change from initial 0
+        mon.path_costs(11.0)  # all stale — one event
+        mon.path_costs(12.0)  # still all stale — no new event
         events = [e for e in recorder.events if e.type == "stale_telemetry"]
         assert len(events) == 1
         assert events[0].stale_paths == events[0].total_paths == 12

@@ -10,7 +10,7 @@ its seed, so the test compares them exactly against the committed
 This catches a layer that does *more calls* than before: a refill run
 twice per tick, a selection asked twice per offer, or a rate matrix
 recomputed within one epoch (the ``network.rate_matrix`` scope opens only
-on a miss of ``Cluster.path_costs``'s epoch cache, the one cache
+on a miss of ``Cluster.inverse_rate_matrix``'s epoch cache, the one cache
 of the rate view, so its calls count misses).
 It does not catch a slower implementation of the same calls; wall time
 is the benchmark's job (``perfbench/``, declared in ``BENCHMARK.json``).
