@@ -6,22 +6,24 @@ declared version attribute, or a call to the declared invalidator — executes
 on every control-flow path from the write to the function's exit.  The
 canonical shapes this must accept (all present in the live tree)::
 
-    for link in route:
-        self._link_flows[link] = n     # write inside a loop
-    self.epoch += 1                    # bump after the loop: guaranteed
+    self._count[flow.route_ids] -= 1   # subscript write
+    self.epoch += 1                    # bump after it: guaranteed
 
-    if factor == 1.0:
-        self._cap_factors.pop(link)    # write in one branch
-    else:
-        self._cap_factors[link] = f    # ... and the other
+    self._eff[lid] = cap               # write in FlowNetwork._set_capacity
     self.epoch += 1                    # unconditional bump: guaranteed
+    if self._seen[lid]:
+        self._mark_dirty()
 
     self.state = TaskState.DONE
     self.job._invalidate_map_views()   # invalidator call: guaranteed
 
 and the shapes it must reject::
 
-    self._link_flows[link] = n
+    self._eff[lid] = cap
+    if self._seen[lid]:
+        self.epoch += 1                # bump on one branch only
+
+    self._count[ids] += 1
     if rare:
         return None                    # escapes without a bump
     self.epoch += 1

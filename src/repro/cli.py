@@ -743,9 +743,7 @@ COMMANDS: Dict[str, Callable] = {
 def main(argv: List[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] in ("lint", "check"):
-        if argv[0] == "lint":
-            print("repro lint is deprecated; use repro check", file=sys.stderr)
+    if argv and argv[0] == "check":
         from repro.analysis.check.runner import main as check_main
 
         return check_main(argv[1:])

@@ -187,7 +187,7 @@ class Cluster:
 
     @cached_on(
         "network.epoch",
-        inputs=("FlowNetwork._link_flows", "FlowNetwork._cap_factors"),
+        inputs=("FlowNetwork._count", "FlowNetwork._eff"),
         reference="_inverse_rate_matrix_uncached",
         probe=lambda self, *, view=False: self._rate_view_hit(),
     )
@@ -219,7 +219,7 @@ class Cluster:
                 self._scale = self._default_scale()
             chains = self.topology.up_chains()
             if chains is not None:
-                shares = self.network.link_shares(chains.links)
+                shares = self.network.link_shares()
                 return TreePathCosts(chains, shares, self._scale)
             return DensePathCosts(
                 self._inverse_rates(self.network.rate_matrix(), self._scale)

@@ -31,9 +31,13 @@ Performance design (shaped by profiling — see the optimisation guide's
   get cancelled and re-pushed constantly and the event heap drowns in
   tombstones.
 * **Slot-indexed numpy state**: remaining bytes, current rate, rate cap and
-  route (as dense link ids) of every active flow live in parallel arrays, so
-  settling, progressive filling, and next-completion prediction are all
-  vectorised; detaching swap-removes a slot in O(route length).
+  route (as :meth:`Topology.link_table` ids) of every active flow live in
+  parallel arrays, so settling, progressive filling, and next-completion
+  prediction are all vectorised; detaching swap-removes a slot in O(route
+  length).
+* **Per-link arrays over the one link table**: live flow count, capacity
+  factor and effective capacity of every topology link, indexed by the
+  same ids the route tensor, the tree up-chains and the C kernel use.
 
 Correctness invariants (exercised by the property tests):
 
@@ -49,7 +53,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, List, Optional, Set, Tuple
 
 import networkx as nx
 import numpy as np
@@ -215,25 +219,22 @@ class FlowNetwork:
         self.epoch = 0
         self._no_cache = caching_disabled()
         # lazily built static route tensor behind rate_matrix
-        self._rm_static: Optional[tuple] = None
+        self._rm_tensor: Optional[np.ndarray] = None
         self._rm_route_version = -1
-        # incremental share state for link_shares over one link list (the
-        # route tensor's or the tree chains'): per-link flow counts
-        # (mirroring _link_flows, maintained on attach/detach) and
-        # effective capacities (rebuilt when the cap state changes)
-        self._rm_links: Optional[List[LinkKey]] = None
-        self._rm_sid: Optional[Dict[LinkKey, int]] = None
-        self._rm_counts: Optional[np.ndarray] = None
-        self._rm_eff: Optional[np.ndarray] = None
-        self._cap_state_version = 0
-        self._rm_eff_version = -1
-        # per-link bookkeeping (path_rate estimates + dense registry)
-        self._link_flows: Dict[LinkKey, int] = {}      # live flow count
-        self._link_ids: Dict[LinkKey, int] = {}
-        self._caps_arr = np.zeros(0, dtype=np.float64)
-        # transient capacity rescaling (fault injection); absent key = 1.0,
-        # so zero-fault runs never touch these floats
-        self._cap_factors: Dict[LinkKey, float] = {}
+        # per-link state, indexed by the topology's link table: live flow
+        # count, capacity factor (fault injection), effective capacity
+        # (nominal * factor, 0.0 while down) and whether the link has ever
+        # carried a flow
+        self._table = topology.link_table()
+        n_links = len(self._table)
+        self._nominal = np.fromiter(
+            (topology.link_capacity(link) for link in self._table),
+            np.float64, n_links,
+        )
+        self._count = np.zeros(n_links, dtype=np.int64)
+        self._factor = np.ones(n_links)
+        self._eff = self._nominal.copy()
+        self._seen = np.zeros(n_links, dtype=bool)
         # failed links (fault injection): effective capacity 0.  Every
         # consumer fast-paths on the empty set, so zero-fault runs are
         # byte-identical to builds without fabric fault tolerance.
@@ -338,27 +339,17 @@ class FlowNetwork:
         return flow
 
     def _register_route(self, route: List[LinkKey]) -> np.ndarray:
-        """Count a route's links in the live registry, returning dense ids.
+        """Count a route's links as carrying one more flow; returns their ids.
 
         Bumps ``epoch`` itself: the per-link flow counts feed
         :meth:`rate_matrix`, so registration must invalidate it on every
-        path.
+        path.  A route never repeats a link, so the fancy-index ``+=``
+        counts each once.
         """
-        ids = np.empty(len(route), dtype=np.int64)
-        sid, counts = self._rm_sid, self._rm_counts
-        for i, link in enumerate(route):
-            self._link_flows[link] = self._link_flows.get(link, 0) + 1
-            if sid is not None:
-                s = sid.get(link)
-                if s is not None:
-                    counts[s] += 1.0
-            lid = self._link_ids.get(link)
-            if lid is None:
-                lid = self._link_ids[link] = len(self._link_ids)
-                self._caps_arr = np.append(
-                    self._caps_arr, self.effective_capacity(link)
-                )
-            ids[i] = lid
+        table = self._table
+        ids = np.array([table[link] for link in route], dtype=np.int64)
+        self._count[ids] += 1
+        self._seen[ids] = True
         self.epoch += 1
         return ids
 
@@ -414,7 +405,15 @@ class FlowNetwork:
         return len(self._flows)
 
     def flows_on_link(self, link: LinkKey) -> int:
-        return self._link_flows.get(link, 0)
+        return int(self._count[self._lookup(link)[1]])
+
+    def _lookup(self, link: LinkKey) -> Tuple[LinkKey, int]:
+        """A link's canonical key and table id; unknown links raise."""
+        key = _canon(*link)
+        lid = self._table.get(key)
+        if lid is None:
+            raise ValueError(f"link {link!r} is not in the topology")
+        return key, lid
 
     # ------------------------------------------------------------------
     # transient capacity rescaling (fault injection)
@@ -425,12 +424,7 @@ class FlowNetwork:
         A failed link reports 0.0 — flows crossing it stall in place until
         the link heals or the control plane migrates them.
         """
-        if self._down_links and link in self._down_links:
-            return 0.0
-        cap = self.topology.link_capacity(link)
-        if self._cap_factors:
-            cap *= self._cap_factors.get(link, 1.0)
-        return cap
+        return float(self._eff[self._lookup(link)[1]])
 
     def link_utilisations(self) -> List[float]:
         """Current load fraction of every topology link (stable order).
@@ -441,29 +435,23 @@ class FlowNetwork:
         report 0.0.  Read-only — the metrics plane samples this.
         """
         n = len(self._flows)
-        n_links = len(self._caps_arr)
+        eff = self._eff
         # one pass: per-link sum of member rates via a weighted bincount
         # over the flow→link incidence, summed in slot order
         if n:
             used = np.bincount(
                 np.concatenate(self._routes),
                 weights=np.repeat(self._rates[:n], self._route_lens[:n]),
-                minlength=n_links,
+                minlength=len(eff),
             )
         else:
-            used = np.zeros(n_links)
-        out: List[float] = []
-        for link in self.topology.links():
-            lid = self._link_ids.get(link)
-            if lid is None or not used[lid]:
-                out.append(0.0)
-                continue
-            cap = self.effective_capacity(link)
-            out.append(float(used[lid]) / cap if cap > 0 else 0.0)
-        return out
+            used = np.zeros(len(eff))
+        out = np.zeros(len(eff))
+        np.divide(used, eff, out=out, where=(used != 0) & (eff > 0))
+        return out.tolist()
 
     def capacity_factor(self, link: LinkKey) -> float:
-        return self._cap_factors.get(link, 1.0)
+        return float(self._factor[self._lookup(link)[1]])
 
     def set_capacity_factor(self, link: LinkKey, factor: float) -> None:
         """Rescale a link's capacity (1.0 restores nominal).
@@ -474,18 +462,22 @@ class FlowNetwork:
         """
         if not (factor > 0.0) or math.isinf(factor):
             raise ValueError(f"capacity factor must be finite and > 0, got {factor}")
-        if factor == 1.0:
-            self._cap_factors.pop(link, None)
-        else:
-            self._cap_factors[link] = factor
-        # Bump even when the link carries no flow yet: path_rate consults
-        # effective_capacity for every route link, registered or not.
+        link, lid = self._lookup(link)
+        self._factor[lid] = factor
+        self._set_capacity(lid, link)
+
+    def _set_capacity(self, lid: int, link: LinkKey) -> None:
+        """Refresh a link's effective capacity after a factor or up/down change.
+
+        Bumps ``epoch`` even when the link carries no flow: path rates read
+        every route link's capacity.  Only a link that has ever carried a
+        flow settles the fabric and marks it for a new tick.
+        """
+        down = link in self._down_links
+        self._eff[lid] = 0.0 if down else self._nominal[lid] * self._factor[lid]
         self.epoch += 1
-        self._cap_state_version += 1
-        lid = self._link_ids.get(link)
-        if lid is not None:
+        if self._seen[lid]:
             self._settle_all()
-            self._caps_arr[lid] = self.effective_capacity(link)
             self._mark_dirty()
 
     # ------------------------------------------------------------------
@@ -504,34 +496,22 @@ class FlowNetwork:
         (no-op) if the link was already down — overlapping faults are
         ref-counted by the injector, not here.
         """
-        link = _canon(*link)
+        link, lid = self._lookup(link)
         if link in self._down_links:
             return False
         self._down_links.add(link)
         self._down_version += 1
-        self.epoch += 1
-        self._cap_state_version += 1
-        lid = self._link_ids.get(link)
-        if lid is not None:
-            self._settle_all()
-            self._caps_arr[lid] = 0.0
-            self._mark_dirty()
+        self._set_capacity(lid, link)
         return True
 
     def set_link_up(self, link: LinkKey) -> bool:
         """Heal a failed link, restoring its effective capacity."""
-        link = _canon(*link)
+        link, lid = self._lookup(link)
         if link not in self._down_links:
             return False
         self._down_links.discard(link)
         self._down_version += 1
-        self.epoch += 1
-        self._cap_state_version += 1
-        lid = self._link_ids.get(link)
-        if lid is not None:
-            self._settle_all()
-            self._caps_arr[lid] = self.effective_capacity(link)
-            self._mark_dirty()
+        self._set_capacity(lid, link)
         return True
 
     def pair_blocked(self, src: str, dst: str) -> bool:
@@ -596,44 +576,22 @@ class FlowNetwork:
         if src == dst:
             return self.local_bandwidth
         rate = math.inf
+        table, eff, count = self._table, self._eff, self._count
         for link in self.topology.route(src, dst):
-            cap = self.effective_capacity(link)
-            share = cap / (self._link_flows.get(link, 0) + 1)
-            rate = min(rate, share)
+            lid = table[link]
+            rate = min(rate, float(eff[lid]) / (int(count[lid]) + 1))
         return rate
 
-    def link_shares(self, links: List[LinkKey]) -> np.ndarray:
-        """Per-link fair share a *new* flow would get, over ``links``.
+    def link_shares(self) -> np.ndarray:
+        """Per-link fair share a *new* flow would get, by link-table id.
 
-        Entry ``i`` is ``effective_capacity / (n_flows + 1)`` of
-        ``links[i]`` — the same division :meth:`path_rate` makes — and the
-        extra last entry, the padding id, is +inf.  The counts and
-        capacities behind it are kept up to date incrementally for the
-        most recent ``links`` list (by identity), so a call costs one
-        vector division.
+        Entry ``i`` is ``effective_capacity / (n_flows + 1)`` of link
+        ``i`` — the same division :meth:`path_rate` makes — and the extra
+        last entry, the padding id, is +inf.  One vector division.
         """
-        if self._rm_links is not links:
-            # (re)build the incremental share state: link slot lookup,
-            # per-slot live flow counts seeded from the dict ledger, and
-            # a forced effective-caps refresh
-            self._rm_links = links
-            self._rm_sid = {link: s for s, link in enumerate(links)}
-            self._rm_counts = np.fromiter(
-                (self._link_flows.get(link, 0) for link in links),
-                np.float64,
-                len(links),
-            )
-            self._rm_eff_version = self._cap_state_version - 1
-        if self._rm_eff_version != self._cap_state_version:
-            self._rm_eff = np.fromiter(
-                (self.effective_capacity(link) for link in links),
-                np.float64,
-                len(links),
-            )
-            self._rm_eff_version = self._cap_state_version
-        n_links = len(links)
+        n_links = len(self._eff)
         share = np.empty(n_links + 1, dtype=np.float64)
-        np.divide(self._rm_eff, self._rm_counts + 1.0, out=share[:n_links])
+        np.divide(self._eff, self._count + 1.0, out=share[:n_links])
         share[n_links] = math.inf  # padding id: never the min
         return share
 
@@ -659,11 +617,11 @@ class FlowNetwork:
         if self._no_cache:
             return self._rate_matrix_uncached()
         route_version = getattr(self.topology, "route_version", 0)
-        if self._rm_static is None or self._rm_route_version != route_version:
-            self._rm_static = self.topology.route_tensor()
+        if self._rm_tensor is None or self._rm_route_version != route_version:
+            self._rm_tensor = self.topology.route_tensor()
             self._rm_route_version = route_version
-        tensor, links = self._rm_static
-        share = self.link_shares(links)
+        tensor = self._rm_tensor
+        share = self.link_shares()
         k, _, depth = tensor.shape
         kern = self._kern
         if kern is not None:
@@ -759,17 +717,7 @@ class FlowNetwork:
             moved._slot = slot
         self._flows.pop()
         self._routes.pop()
-        sid, counts = self._rm_sid, self._rm_counts
-        for link in flow.route:
-            n = self._link_flows.get(link, 0) - 1
-            if n <= 0:
-                self._link_flows.pop(link, None)
-            else:
-                self._link_flows[link] = n
-            if sid is not None:
-                s = sid.get(link)
-                if s is not None:
-                    counts[s] -= 1.0
+        self._count[flow.route_ids] -= 1
         self.epoch += 1
 
     # ------------------------------------------------------------------
@@ -834,7 +782,7 @@ class FlowNetwork:
             args = self._kernel_args()
             now = self.sim.now
             rc = kern.tick_state(
-                self._cstate, n, len(self._caps_arr), args[0], args[1],
+                self._cstate, n, len(self._eff), args[0], args[1],
                 1 if self._finite_caps else 0,
                 now - self._last_settle, _EPS_BYTES,
                 args[2], args[3], args[4], args[5],
@@ -939,26 +887,22 @@ class FlowNetwork:
         ctypes ``data_as()`` conversions cost more than the kernels
         themselves at the fabric's call rates, and the hot arrays only
         change object identity when they grow (the slot arrays all grow
-        together in :meth:`_attach`) — so the pointer tuple is rebuilt
-        only on an identity miss.  Returns ``(caps_p, fcaps_p, rem_p,
-        rates_p, drained_p, horizon_p)``.
+        together in :meth:`_attach`; the per-link arrays never do) — so
+        the pointer tuple is rebuilt only on an identity miss.  Returns
+        ``(caps_p, fcaps_p, rem_p, rates_p, drained_p, horizon_p)``.
         """
         ptrs = self._kern_ptrs
-        if (
-            ptrs is not None
-            and ptrs[0] is self._caps_arr
-            and ptrs[1] is self._rem
-        ):
-            return ptrs[2]
+        if ptrs is not None and ptrs[0] is self._rem:
+            return ptrs[1]
         args = (
-            self._caps_arr.ctypes.data,
+            self._eff.ctypes.data,
             self._caps.ctypes.data,
             self._rem.ctypes.data,
             self._rates.ctypes.data,
             self._drained_buf.ctypes.data,
             self._horizon_buf.ctypes.data,
         )
-        self._kern_ptrs = (self._caps_arr, self._rem, args)
+        self._kern_ptrs = (self._rem, args)
         return args
 
     def _refill(self) -> Optional[float]:
@@ -1001,7 +945,7 @@ class FlowNetwork:
         if kern is not None and n:
             args = self._kernel_args()
             rc = kern.refill_horizon_state(
-                self._cstate, n, len(self._caps_arr), args[0], args[1],
+                self._cstate, n, len(self._eff), args[0], args[1],
                 1 if self._finite_caps else 0, args[2], args[3], args[5],
             )
             if rc == 0:
@@ -1027,16 +971,16 @@ class FlowNetwork:
         if nF == 0:
             return
 
-        # flow -> link incidence in CSR form over the dense link registry
+        # flow -> link incidence in CSR form over the link table
         routes = self._routes
         lens = self._route_lens[:nF]
         flat = np.concatenate(routes)
         ptr = np.zeros(nF + 1, dtype=np.int64)
         np.cumsum(lens, out=ptr[1:])
         owner = np.repeat(np.arange(nF), lens)
-        n_links = len(self._caps_arr)
+        n_links = len(self._eff)
 
-        residual = self._caps_arr.copy()
+        residual = self._eff.copy()
         nflows = np.bincount(flat, minlength=n_links).astype(np.float64)
 
         # link -> flows (CSR by sorting the incidence pairs on link id)

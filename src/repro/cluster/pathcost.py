@@ -74,8 +74,8 @@ class TreePathCosts(PathCosts):
     chains:
         The topology's static :class:`~repro.cluster.topology.UpChains`.
     shares:
-        ``(len(chains.links) + 1,)`` per-link fair share a new flow would
-        get this epoch, +inf at the padding id
+        ``(len(link_table) + 1,)`` per-link fair share a new flow would
+        get this epoch, by link-table id, +inf at the padding id
         (``FlowNetwork.link_shares``).
     scale:
         Positive multiplier applied to every inverse rate.

@@ -271,7 +271,7 @@ class FabricTopology(GraphTopology):
         path = self._advertised[(src, dst)] = self._unrank(a, b, 0, src)
         return path
 
-    def route_tensor(self) -> Tuple[np.ndarray, List[LinkKey]]:
+    def route_tensor(self) -> np.ndarray:
         """BFS tensor under ``static``; the per-pair reference otherwise."""
         if self.routing == "static":
             return super().route_tensor()

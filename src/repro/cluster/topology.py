@@ -57,11 +57,10 @@ class UpChains(NamedTuple):
     """Static host-to-root chains of a tree topology.
 
     Levels count down from the root (level 0).  Host ``a`` sits at its own
-    level ``d_a``; past it, its columns hold padding.
+    level ``d_a``; past it, its columns hold padding.  Link ids index
+    :meth:`Topology.link_table`, whose length is the padding id.
     """
 
-    #: link keys; ``link_ids`` index this list and ``len(links)`` pads
-    links: List[LinkKey]
     #: ``(depth + 1, k)``: vertex number of each host's level-``L``
     #: ancestor (the host itself at ``d_a``), ``-(a + 1)`` past ``d_a``
     ancestors: np.ndarray
@@ -80,6 +79,7 @@ class Topology:
     """
 
     hosts: List[str]
+    _link_table: Optional[Dict[LinkKey, int]] = None
 
     def host_index(self, name: str) -> int:
         return self._host_index[name]
@@ -110,43 +110,44 @@ class Topology:
     def links(self) -> Iterable[LinkKey]:
         raise NotImplementedError
 
-    def route_tensor(self) -> Tuple[np.ndarray, List[LinkKey]]:
+    def link_table(self) -> Dict[LinkKey, int]:
+        """Every link once, in :meth:`links` order, mapped to its integer id.
+
+        The id is the link's position, so ``len(table)`` is free as the
+        padding id.  Route tensors, up-chains and the flow network's
+        per-link arrays all index this one numbering.  Built once.
+        """
+        if self._link_table is None:
+            self._link_table = {link: i for i, link in enumerate(self.links())}
+        return self._link_table
+
+    def route_tensor(self) -> np.ndarray:
         """Per-pair route link ids, for the vectorised ``rate_matrix``.
 
-        Returns ``(tensor, links)``: ``tensor[a, b]`` lists the ids (indices
-        into ``links``) of the links on the route between hosts ``a`` and
-        ``b``, padded with the id ``len(links)``; the diagonal is all
-        padding.  Link order within a row is unspecified.
+        ``tensor[a, b]`` lists the :meth:`link_table` ids of the links on
+        the route between hosts ``a`` and ``b``, padded with the id
+        ``len(link_table())``; the diagonal is all padding.  Link order
+        within a row is unspecified.
 
         This is the reference: :meth:`route` for each pair ``a < b``,
         mirrored into ``(b, a)``, which matches the per-pair ``path_rate``
-        walk exactly even if a topology's routes were asymmetric.  Link
-        ids are ordered by first traversal.
+        walk exactly even if a topology's routes were asymmetric.
         """
         hosts = self.hosts
         k = len(hosts)
-        sid: Dict[LinkKey, int] = {}
-        links: List[LinkKey] = []
+        table = self.link_table()
         routes = {}
         max_len = 1
         for a in range(k):
             for b in range(a + 1, k):
-                route = self.route(hosts[a], hosts[b])
-                ids = []
-                for link in route:
-                    s = sid.get(link)
-                    if s is None:
-                        s = sid[link] = len(links)
-                        links.append(link)
-                    ids.append(s)
+                ids = [table[link] for link in self.route(hosts[a], hosts[b])]
                 routes[(a, b)] = ids
                 max_len = max(max_len, len(ids))
-        pad = len(links)
-        tensor = np.full((k, k, max_len), pad, dtype=np.int64)
+        tensor = np.full((k, k, max_len), len(table), dtype=np.int64)
         for (a, b), ids in routes.items():
             tensor[a, b, : len(ids)] = ids
             tensor[b, a, : len(ids)] = ids
-        return tensor, links
+        return tensor
 
     def up_chains(self) -> Optional[UpChains]:
         """Host up-chains when every route is the unique tree path, else None."""
@@ -227,25 +228,23 @@ class GraphTopology(Topology):
     def links(self) -> Iterable[LinkKey]:
         return (_canon(u, v) for u, v in self.graph.edges())
 
-    def route_tensor(self) -> Tuple[np.ndarray, List[LinkKey]]:
+    def route_tensor(self) -> np.ndarray:
         """Route link ids from one BFS per host, not one search per pair.
 
-        Link ids index the graph's canonical edges.  Each host's BFS records
-        every vertex's parent node and parent link plus its shortest-path
-        count capped at 2.  A pair joined by exactly one shortest path has
-        the route any shortest-path search returns, so its row is read off
-        the parent arrays: one gather per hop over all ``k × k`` pairs at
-        once.  Only pairs with several shortest paths ask :meth:`route`,
-        which keeps the tie-break.
+        Each host's BFS records every vertex's parent node and parent link
+        plus its shortest-path count capped at 2.  A pair joined by exactly
+        one shortest path has the route any shortest-path search returns,
+        so its row is read off the parent arrays: one gather per hop over
+        all ``k × k`` pairs at once.  Only pairs with several shortest
+        paths ask :meth:`route`, which keeps the tie-break.
         """
         # raises on unreachable hosts, so every walk below ends at its source
         depth = max(1, int(self.hop_matrix().max()))
         graph = self.graph
         nodes = list(graph)
         index = {v: i for i, v in enumerate(nodes)}
-        links = list(self.links())
-        lid = {link: i for i, link in enumerate(links)}
-        pad = len(links)
+        lid = self.link_table()
+        pad = len(lid)
         adj = [
             [(index[v], lid[_canon(u, v)]) for v in graph[u]] for u in nodes
         ]
@@ -292,7 +291,7 @@ class GraphTopology(Topology):
             tensor[a, b] = pad
             tensor[a, b, : len(ids)] = ids
             tensor[b, a] = tensor[a, b]
-        return tensor, links
+        return tensor
 
     def up_chains(self) -> Optional[UpChains]:
         """Each host's chain of ancestors and links up to one root.
@@ -318,8 +317,7 @@ class GraphTopology(Topology):
         root = diameter[len(diameter) // 2]
         parent = dict(nx.bfs_predecessors(graph, root))
         vertex = {v: i for i, v in enumerate(graph)}
-        links = list(self.links())
-        lid = {link: i for i, link in enumerate(links)}
+        lid = self.link_table()
         chains = []
         for host in self.hosts:
             chain = [host]
@@ -330,13 +328,13 @@ class GraphTopology(Topology):
         depth = max(len(chain) for chain in chains) - 1
         k = len(chains)
         ancestors = np.empty((depth + 1, k), dtype=np.int64)
-        link_ids = np.full((depth + 1, k), len(links), dtype=np.int64)
+        link_ids = np.full((depth + 1, k), len(lid), dtype=np.int64)
         for a, chain in enumerate(chains):
             ancestors[:, a] = -(a + 1)
             ancestors[: len(chain), a] = [vertex[v] for v in chain]
             for level in range(1, len(chain)):
                 link_ids[level, a] = lid[_canon(chain[level - 1], chain[level])]
-        return UpChains(links, ancestors, link_ids)
+        return UpChains(ancestors, link_ids)
 
 
 class MatrixTopology(Topology):

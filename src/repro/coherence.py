@@ -4,7 +4,7 @@ PR 4 built the scheduler hot path on epoch/version-keyed caches; PR 6 makes
 the convention *verifiable*.  Every cached computation declares itself with
 :func:`cached_on`::
 
-    @cached_on("network.epoch", inputs=("FlowNetwork._link_flows",),
+    @cached_on("network.epoch", inputs=("FlowNetwork._count",),
                reference="_inverse_rate_matrix_uncached",
                probe=lambda self: self._rate_view[0] == ...)
     def inverse_rate_matrix(self): ...

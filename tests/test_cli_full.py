@@ -96,22 +96,33 @@ class TestSweepCommands:
 
 class TestStaticAnalysisCommands:
     """`repro check` dispatch and its exit-code contract: 0 clean,
-    1 findings, 2 usage-or-parse-error.  The deprecated `repro lint` alias
-    forwards to `check` with the same exit codes."""
+    1 findings, 2 usage-or-parse-error.  Each contract holds with the
+    committed baseline and without one (`--no-baseline`)."""
 
-    def test_lint_clean_tree_exits_zero(self, capsys):
-        assert main(["lint", str(SRC)]) == 0
+    #: the two ways to run the analyzer, by test id
+    RUNS = pytest.mark.parametrize(
+        "argv0", [["check", "--no-baseline"], ["check"]],
+        ids=["check", "check-baseline"],
+    )
+
+    def test_lint_alias_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", str(SRC)])
+        assert exc.value.code == 2
+
+    def test_check_with_baseline_clean_tree_exits_zero(self, capsys):
+        assert main(["check", str(SRC)]) == 0
 
     def test_check_clean_tree_exits_zero(self, capsys):
         assert main(["check", "--no-baseline", str(SRC)]) == 0
 
-    def test_lint_findings_exit_one(self, tmp_path, capsys):
+    def test_check_with_baseline_findings_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "repro" / "engine"
         bad.mkdir(parents=True)
         (bad / "mod.py").write_text(
             "import time\nt = time.time()\n", encoding="utf-8"
         )
-        assert main(["lint", str(tmp_path)]) == 1
+        assert main(["check", str(tmp_path)]) == 1
 
     def test_check_findings_exit_one(self, tmp_path, capsys):
         (tmp_path / "mod.py").write_text(
@@ -121,24 +132,18 @@ class TestStaticAnalysisCommands:
         assert main(["check", "--no-baseline", str(tmp_path)]) == 1
         assert "rng-ambient" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", ["lint", "check"])
-    def test_parse_error_exits_two(self, command, tmp_path, capsys):
+    @RUNS
+    def test_parse_error_exits_two(self, argv0, tmp_path, capsys):
         (tmp_path / "mod.py").write_text("def broken(:\n", encoding="utf-8")
-        argv = [command, str(tmp_path)]
-        if command == "check":
-            argv.insert(1, "--no-baseline")
-        assert main(argv) == 2
+        assert main([*argv0, str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("command", ["lint", "check"])
-    def test_usage_error_exits_two(self, command, capsys):
-        assert main([command, "--select", "bogus", str(SRC)]) == 2
+    @RUNS
+    def test_usage_error_exits_two(self, argv0, capsys):
+        assert main([*argv0, "--select", "bogus", str(SRC)]) == 2
 
-    @pytest.mark.parametrize("command", ["lint", "check"])
-    def test_format_json_supported(self, command, capsys):
-        argv = [command, "--format", "json", str(SRC)]
-        if command == "check":
-            argv.insert(1, "--no-baseline")
-        assert main(argv) == 0
+    @RUNS
+    def test_format_json_supported(self, argv0, capsys):
+        assert main([*argv0, "--format", "json", str(SRC)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["tool"] == "repro-check"
 

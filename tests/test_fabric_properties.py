@@ -16,19 +16,27 @@ all-paths enumeration the fabric used before: every ``equal_cost_paths``,
 ``route`` and ``route_for_flow`` answer must match on random Clos and
 random switch graphs under random down links and query orders, and whole
 traced runs must be byte-identical on either fabric.
+
+Link ids are order-free: the same random flow churn on two fabrics whose
+link tables list the links in permuted orders gives bit-identical rates,
+remaining bytes and completion times, on the C kernel and on the numpy
+reference.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
+from unittest import mock
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import accel
 from repro.cluster import Cluster
+from repro.cluster.network import FlowNetwork
 from repro.cluster.topologies import FabricTopology, clos_topology
 from repro.cluster.topology import _canon, fat_tree_graph
 from repro.core import ProbabilisticNetworkAwareScheduler
@@ -38,6 +46,7 @@ from repro.sim import Simulator
 from repro.trace.export import jsonl_lines
 from repro.units import MB, Gbps
 from repro.workload import JobSpec
+from tests import test_refill_properties as churn
 
 ks = st.sampled_from([2, 4, 6])
 oversubs = st.sampled_from([1.0, 2.0, 4.0])
@@ -356,3 +365,58 @@ class TestUnrankedTraceIdentity:
         got = _trace(FabricTopology, routing)
         assert any('"link_down"' in line for line in got)
         assert got == _trace(EnumeratedFabric, routing)
+
+
+class PermutedLinks(FabricTopology):
+    """A fabric whose link table lists the same links in another order."""
+
+    def __init__(self, graph, order, *, routing):
+        super().__init__(graph, routing=routing)
+        self._order = order
+
+    def links(self):
+        return iter(self._order)
+
+
+def _flow_state(flows):
+    return [
+        (f.rate.hex(), f.remaining.hex(), repr(f.end_time)) for f in flows
+    ]
+
+
+class TestLinkIdsOrderFree:
+    """The churn of ``tests/test_refill_properties.py`` on the same Clos
+    fabric twice, under two link-table orders."""
+
+    @pytest.mark.parametrize("ckernel", [True, False], ids=["ckernel", "numpy"])
+    @given(
+        order=st.permutations(churn.LINKS),
+        steps=st.lists(churn.ops, min_size=15, max_size=60),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_permuted_link_table_moves_no_bit(self, ckernel, order, steps):
+        if ckernel and accel.refill_kernel() is None:
+            pytest.skip("C refill kernel unavailable")
+        permuted = PermutedLinks(churn.TOPO.graph, order, routing="ecmp")
+        assert list(permuted.link_table()) == order
+        with mock.patch.object(
+            accel, "refill_kernel",
+            accel.refill_kernel if ckernel else (lambda: None),
+        ):
+            nets = [
+                FlowNetwork(Simulator(), topo, local_bandwidth=400 * MB)
+                for topo in (churn.TOPO, permuted)
+            ]
+        assert all((net._kern is not None) == ckernel for net in nets)
+        # every flow ever started, per fabric: a start op never completes
+        # its flow, so each new flow is still live right after that op
+        started = ([], [])
+        lives = ([], [])
+        for op in steps:
+            for net, live, flows in zip(nets, lives, started):
+                churn.apply(net, live, op)
+                flows.extend(f for f in live if f not in flows)
+            assert _flow_state(started[0]) == _flow_state(started[1]), op
+        for net in nets:
+            net.sim.run(until=net.sim.now + 1000.0)
+        assert _flow_state(started[0]) == _flow_state(started[1])

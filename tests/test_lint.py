@@ -1,4 +1,4 @@
-"""Per-module rules of ``repro check`` and the deprecated ``repro lint`` alias.
+"""Per-module rules of ``repro check`` and its command line.
 
 These rules (determinism, unit and output hygiene, scheduler contracts,
 closed reason vocabularies) once ran in a separate ``repro.lint`` suite;
@@ -49,7 +49,7 @@ def at(findings):
 
 
 def lint_main(argv):
-    return cli_main(["lint", *argv])
+    return cli_main(["check", *argv])
 
 
 # ----------------------------------------------------------------------
@@ -548,7 +548,7 @@ class TestConfigPathSymmetry:
 
 
 # ----------------------------------------------------------------------
-# the deprecated `repro lint` alias forwards to `repro check`
+# the `repro check` command line over whole trees
 # ----------------------------------------------------------------------
 class TestWholeTree:
     @pytest.fixture
@@ -562,7 +562,6 @@ class TestWholeTree:
 
     def test_src_tree_is_clean(self, capsys):
         assert lint_main([str(SRC)]) == 0
-        assert "deprecated" in capsys.readouterr().err
 
     def test_cli_exit_zero_on_clean_tree(self, capsys):
         assert lint_main(["--no-baseline", str(SRC)]) == 0
@@ -603,11 +602,10 @@ class TestWholeTree:
         env = dict(os.environ)
         env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
-            [sys.executable, "-m", "repro", "lint", str(SRC)],
+            [sys.executable, "-m", "repro", "check", str(SRC)],
             capture_output=True,
             text=True,
             env=env,
             cwd=REPO,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "deprecated" in proc.stderr

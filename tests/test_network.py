@@ -235,6 +235,42 @@ class TestPathRate:
         assert np.all(np.diag(r) == 400 * MB)
 
 
+class TestLinkKeys:
+    """The capacity API reads a link in either orientation and rejects a
+    link the topology does not have."""
+
+    def test_capacity_factor_canonicalises_link_key(self):
+        sim, topo, net = make_net(racks=2, per_rack=2, host_link=1 * Gbps)
+        net.set_capacity_factor(("tor0", "r0n0"), 0.5)
+        assert net.capacity_factor(("r0n0", "tor0")) == 0.5
+        assert net.effective_capacity(("r0n0", "tor0")) == 0.5 * Gbps
+        assert net.path_rate("r0n0", "r0n1") == 0.5 * Gbps
+
+    def test_flows_on_link_canonicalises_link_key(self):
+        sim, topo, net = make_net(racks=2, per_rack=2)
+        net.start_flow("r0n0", "r0n1", 100 * MB)
+        assert net.flows_on_link(("tor0", "r0n0")) == 1
+        assert net.flows_on_link(("r0n0", "tor0")) == 1
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda net, link: net.set_capacity_factor(link, 0.5),
+            lambda net, link: net.capacity_factor(link),
+            lambda net, link: net.effective_capacity(link),
+            lambda net, link: net.flows_on_link(link),
+            lambda net, link: net.set_link_down(link),
+            lambda net, link: net.set_link_up(link),
+        ],
+        ids=["set_factor", "factor", "effective", "flows", "down", "up"],
+    )
+    def test_unknown_link_rejected(self, call):
+        sim, topo, net = make_net(racks=2, per_rack=2)
+        with pytest.raises(ValueError, match="'nope', 'zzz'"):
+            call(net, ("nope", "zzz"))
+        assert net.epoch == 0
+
+
 class TestStress:
     def test_many_random_flows_drain(self):
         sim = Simulator()
