@@ -128,7 +128,7 @@ def test_durability_sweep(benchmark, scenario):
             rf,
             rate_name,
             "never" if ttfr is None else f"{ttfr:.0f}",
-            fmt_bytes(mon.repair_bytes),
+            fmt_bytes(res.collector.repair_bytes),
             f"{_loss_fraction(sim, res):.1%}",
             len(mon.lost_blocks()),
             f"{done}/{expected}",
@@ -206,8 +206,8 @@ def test_durability_sweep(benchmark, scenario):
         for (rf, rate_name), (sim, res) in rf_cells.items()
     }
     benchmark.extra_info["repair_bytes"] = {
-        f"rf{rf}/{rate_name}": round(sim.replication.repair_bytes)
-        for (rf, rate_name), (sim, _) in rf_cells.items()
+        f"rf{rf}/{rate_name}": round(res.collector.repair_bytes)
+        for (rf, rate_name), (_, res) in rf_cells.items()
     }
     benchmark.extra_info["locality_gap"] = {
         name: round(gap, 4) for name, gap in gaps.items()

@@ -460,9 +460,9 @@ def _run_main(argv: List[str]) -> int:
         mon = sim.replication
         print(
             f"replication monitor: {mon.repairs_started} repairs started, "
-            f"{mon.repairs_completed} completed, "
+            f"{result.collector.replicas_added} completed, "
             f"{mon.repairs_cancelled} cancelled, "
-            f"{mon.blocks_lost_total} blocks lost"
+            f"{result.collector.blocks_lost} blocks lost"
         )
     return 0
 
@@ -476,8 +476,8 @@ def _chaos_main(argv: List[str]) -> int:
         description="Soak every scheduler family under seed-reproducible "
         "randomized fault plans (crashes, churn, heartbeat loss, link "
         "degradation, tracker crashes, degraded telemetry) with runtime "
-        "invariants on, verifying completion, shuffle byte conservation, "
-        "trace/collector reconciliation and determinism.",
+        "invariants on, verifying completion, shuffle byte conservation "
+        "and determinism.",
     )
     parser.add_argument("--rounds", type=int, default=20,
                         help="number of randomized fault plans (default: 20)")

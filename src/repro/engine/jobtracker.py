@@ -87,7 +87,6 @@ class JobTracker:
         task_scheduler: TaskScheduler,
         *,
         job_scheduler: Optional[JobLevelScheduler] = None,
-        collector: Optional[MetricsCollector] = None,
         config: Optional[EngineConfig] = None,
         rng: Optional[np.random.Generator] = None,
         seed: int = 0,
@@ -98,10 +97,11 @@ class JobTracker:
         self.namenode = namenode
         self.task_scheduler = task_scheduler
         self.job_scheduler = job_scheduler or FairJobScheduler()
-        self.collector = collector or MetricsCollector()
         self.config = config or EngineConfig()
         self.seed = seed
         self.recorder = recorder if recorder is not None else NullRecorder()
+        #: counts every engine fact and passes it on to ``recorder``
+        self.collector = MetricsCollector(self.recorder)
         # set by schedulers (via SchedulerContext.note_decline) to explain
         # why the current select_* call returned None
         self._noted_reason: Optional[str] = None
@@ -161,10 +161,8 @@ class JobTracker:
             return
         job = Job(spec, self)
         self.active_jobs.append(job)
-        self.collector.job_submitted(spec.job_id, self.sim.now)
         self.journal_write("job_submitted", spec.job_id)
-        if self.recorder.enabled:
-            self.recorder.emit(JobSubmit(t=self.sim.now, job_id=spec.job_id))
+        self.collector.note(JobSubmit(t=self.sim.now, job_id=spec.job_id))
         self.task_scheduler.on_job_added(job)
 
     def on_job_done(self, job: Job) -> None:
@@ -183,12 +181,10 @@ class JobTracker:
         """A job aborted (a task exhausted ``max_attempts``)."""
         self.active_jobs.remove(job)
         self.failed_jobs.append(job)
-        self.collector.job_failed(job.spec.job_id, self.sim.now)
         self.journal_write("job_failed", job.spec.job_id)
-        if self.recorder.enabled:
-            self.recorder.emit(
-                JobFail(t=self.sim.now, job_id=job.spec.job_id, reason=reason)
-            )
+        self.collector.note(
+            JobFail(t=self.sim.now, job_id=job.spec.job_id, reason=reason)
+        )
         if self.all_done:
             self._finish_run()
 
@@ -231,9 +227,7 @@ class JobTracker:
         and client submissions queue until the restart.
         """
         self.tracker_down = True
-        self.collector.tracker_crashed()
-        if self.recorder.enabled:
-            self.recorder.emit(TrackerDown(t=self.sim.now))
+        self.collector.note(TrackerDown(t=self.sim.now))
 
     def on_tracker_restarted(self) -> None:
         """The master restarts: replay the journal, resync, re-register.
@@ -248,14 +242,12 @@ class JobTracker:
         for view in self._node_views.values():
             view.last_heartbeat = now
         resynced = self.journal.resync(self, now) if self.journal else 0
-        self.collector.tracker_restarted()
-        if self.recorder.enabled:
-            self.recorder.emit(
-                TrackerUp(
-                    t=now, resynced_entries=resynced,
-                    deferred_jobs=len(self._deferred_specs),
-                )
+        self.collector.note(
+            TrackerUp(
+                t=now, resynced_entries=resynced,
+                deferred_jobs=len(self._deferred_specs),
             )
+        )
         deferred, self._deferred_specs = self._deferred_specs, []
         for spec in deferred:
             self._submit(spec)
@@ -309,10 +301,7 @@ class JobTracker:
             # are charged as tracker_down declines so slot accounting shows
             # exactly what the outage cost.
             if node.alive and not view.lost and self.active_jobs:
-                if node.free_map_slots > 0:
-                    self._record_decline(node, "map", TRACKER_DOWN, "")
-                if node.free_reduce_slots > 0:
-                    self._record_decline(node, "reduce", TRACKER_DOWN, "")
+                self._decline_free_slots(node, TRACKER_DOWN)
             return
         delivered = node.alive and not (
             self.faults is not None and self.faults.heartbeat_dropped(node)
@@ -377,14 +366,12 @@ class JobTracker:
             lost_maps += job.relaunch_lost_maps(node)
             for r in job.running_reduces():
                 r.on_source_lost(node.name)
-        self.collector.node_lost()
-        if self.recorder.enabled:
-            self.recorder.emit(
-                NodeDown(
-                    t=self.sim.now, node=node.name, reason=reason,
-                    killed_attempts=killed, lost_maps=lost_maps,
-                )
+        self.collector.note(
+            NodeDown(
+                t=self.sim.now, node=node.name, reason=reason,
+                killed_attempts=killed, lost_maps=lost_maps,
             )
+        )
         if self.invariants is not None:
             self.invariants.after_node_loss(node)
 
@@ -400,13 +387,8 @@ class JobTracker:
         view.lost = False
         view.incarnation = node.incarnation
         view.last_heartbeat = self.sim.now
-        self.collector.node_rejoined()
-        if self.recorder.enabled:
-            self.recorder.emit(NodeUp(t=self.sim.now, node=node.name))
-        if node.free_map_slots > 0:
-            self._record_decline(node, "map", NODE_DEAD, "")
-        if node.free_reduce_slots > 0:
-            self._record_decline(node, "reduce", NODE_DEAD, "")
+        self.collector.note(NodeUp(t=self.sim.now, node=node.name))
+        self._decline_free_slots(node, NODE_DEAD)
         if self.invariants is not None:
             self.invariants.after_heartbeat()
 
@@ -431,15 +413,13 @@ class JobTracker:
         nothing wrong — the task's input data is gone — so the failure is
         charged against the task's retry budget but not against the node.
         """
-        self.collector.attempt_failed()
-        if self.recorder.enabled:
-            self.recorder.emit(
-                AttemptFailed(
-                    t=self.sim.now, node=node_name, kind=kind,
-                    job_id=job.spec.job_id, task_index=task_index,
-                    reason=reason, failures=failures,
-                )
+        self.collector.note(
+            AttemptFailed(
+                t=self.sim.now, node=node_name, kind=kind,
+                job_id=job.spec.job_id, task_index=task_index,
+                reason=reason, failures=failures,
             )
+        )
         if blacklist:
             job.note_node_failure(node_name)
         if failures >= self.config.max_attempts:
@@ -449,47 +429,47 @@ class JobTracker:
         self, job: Job, kind: str, task_index: int, node_name: str, failures: int
     ) -> None:
         """An uncharged kill (node loss): count and trace it only."""
-        self.collector.attempt_killed()
-        if self.recorder.enabled:
-            self.recorder.emit(
-                AttemptFailed(
-                    t=self.sim.now, node=node_name, kind=kind,
-                    job_id=job.spec.job_id, task_index=task_index,
-                    reason=NODE_LOST, failures=failures,
-                )
+        self.collector.note(
+            AttemptFailed(
+                t=self.sim.now, node=node_name, kind=kind,
+                job_id=job.spec.job_id, task_index=task_index,
+                reason=NODE_LOST, failures=failures,
             )
+        )
 
     def record_map_output_lost(self, job: Job, task: "MapTask") -> None:
-        self.collector.map_reexecuted()
-        if self.recorder.enabled:
-            self.recorder.emit(
-                MapOutputLost(
-                    t=self.sim.now, node=task.node.name,
-                    job_id=job.spec.job_id, task_index=task.index,
-                )
+        self.collector.note(
+            MapOutputLost(
+                t=self.sim.now, node=task.node.name,
+                job_id=job.spec.job_id, task_index=task.index,
             )
+        )
 
     def record_blacklisting(self, job: Job, node_name: str, failures: int) -> None:
-        self.collector.node_blacklisted()
-        if self.recorder.enabled:
-            self.recorder.emit(
-                Blacklisted(
-                    t=self.sim.now, node=node_name,
-                    job_id=job.spec.job_id, failures=failures,
-                )
+        self.collector.note(
+            Blacklisted(
+                t=self.sim.now, node=node_name,
+                job_id=job.spec.job_id, failures=failures,
             )
+        )
 
-    def _record_decline(
-        self, node: Node, kind: str, reason: str, head_job: str
+    def _decline(
+        self, node: Node, kind: str, reason: str, head_job: str = ""
     ) -> None:
-        self.collector.offer_declined(kind, reason)
-        if self.recorder.enabled:
-            self.recorder.emit(
-                Decline(
-                    t=self.sim.now, node=node.name, kind=kind,
-                    reason=reason, job_id=head_job,
-                )
+        """Count one idle slot offer of ``kind`` on ``node``."""
+        self.collector.note(
+            Decline(
+                t=self.sim.now, node=node.name, kind=kind,
+                reason=reason, job_id=head_job,
             )
+        )
+
+    def _decline_free_slots(self, node: Node, reason: str) -> None:
+        """Decline each slot kind ``node`` has free, all for ``reason``."""
+        if node.free_map_slots > 0:
+            self._decline(node, "map", reason)
+        if node.free_reduce_slots > 0:
+            self._decline(node, "reduce", reason)
 
     # ------------------------------------------------------------------
     # slot offers
@@ -519,10 +499,7 @@ class JobTracker:
                 # the node is cut off from the rest of the fabric by failed
                 # links: a task placed here could neither read its input
                 # nor be shuffled from, so decline its slots outright
-                if node.free_map_slots > 0:
-                    self._record_decline(node, "map", NO_ROUTE, "")
-                if node.free_reduce_slots > 0:
-                    self._record_decline(node, "reduce", NO_ROUTE, "")
+                self._decline_free_slots(node, NO_ROUTE)
             else:
                 self._offer_map_slots(node)
                 self._offer_reduce_slots(node)
@@ -585,18 +562,16 @@ class JobTracker:
                     if self.invariants is not None:
                         self.invariants.check_assignment(node, job)
                     task.launch(node)
-                    self.collector.offer_assigned()
                     if self.metrics is not None:
                         self.metrics.task_assigned(
                             "map", self.sim.now - task.pending_since
                         )
-                    if rec.enabled:
-                        rec.emit(
-                            Assign(
-                                t=self.sim.now, node=node.name, kind="map",
-                                job_id=job.spec.job_id, task_index=task.index,
-                            )
+                    self.collector.note(
+                        Assign(
+                            t=self.sim.now, node=node.name, kind="map",
+                            job_id=job.spec.job_id, task_index=task.index,
                         )
+                    )
                     assigned = True
                     break
                 if round_reason is None:
@@ -608,15 +583,9 @@ class JobTracker:
                 if self.config.speculative and self._try_speculate(node):
                     continue
                 if candidates:
-                    reason = round_reason or NO_CANDIDATE
-                    self.collector.offer_declined("map", reason)
-                    if rec.enabled:
-                        rec.emit(
-                            Decline(
-                                t=self.sim.now, node=node.name, kind="map",
-                                reason=reason, job_id=head_job,
-                            )
-                        )
+                    self._decline(
+                        node, "map", round_reason or NO_CANDIDATE, head_job
+                    )
                 return
 
     def _try_speculate(self, node: Node) -> bool:
@@ -710,31 +679,23 @@ class JobTracker:
                     if self.invariants is not None:
                         self.invariants.check_assignment(node, job)
                     task.launch(node)
-                    self.collector.offer_assigned()
                     if self.metrics is not None:
                         self.metrics.task_assigned(
                             "reduce", self.sim.now - task.pending_since
                         )
-                    if rec.enabled:
-                        rec.emit(
-                            Assign(
-                                t=self.sim.now, node=node.name, kind="reduce",
-                                job_id=job.spec.job_id, task_index=task.index,
-                            )
+                    self.collector.note(
+                        Assign(
+                            t=self.sim.now, node=node.name, kind="reduce",
+                            job_id=job.spec.job_id, task_index=task.index,
                         )
+                    )
                     assigned = True
                     break
                 if round_reason is None:
                     round_reason = self._noted_reason
                     head_job = job.spec.job_id
             if not assigned:
-                reason = round_reason or NO_CANDIDATE
-                self.collector.offer_declined("reduce", reason)
-                if rec.enabled:
-                    rec.emit(
-                        Decline(
-                            t=self.sim.now, node=node.name, kind="reduce",
-                            reason=reason, job_id=head_job,
-                        )
-                    )
+                self._decline(
+                    node, "reduce", round_reason or NO_CANDIDATE, head_job
+                )
                 return

@@ -152,9 +152,9 @@ class ReplicationMonitor:
     sim, cluster, namenode, tracker:
         The run's simulator, cluster, NameNode and JobTracker.  The tracker
         is consulted for ``all_done`` (the monitor drains its queues, then
-        stops), its recorder/collector receive the durability events and
-        counters, and its ``on_node_crashed`` hook calls back into
-        :meth:`on_node_crashed` so repair flows die with their endpoints.
+        stops), its collector notes the durability events, and its
+        ``on_node_crashed`` hook calls back into :meth:`on_node_crashed` so
+        repair flows die with their endpoints.
     rng:
         Injected generator (one child of the run's ``SeedSequence`` fan-out)
         driving placement-policy target selection.
@@ -209,14 +209,10 @@ class ReplicationMonitor:
 
         # observability
         self.repairs_started = 0
-        self.repairs_completed = 0
         self.repairs_cancelled = 0
-        self.repair_bytes = 0.0
-        self.blocks_lost_total = 0
         self.blocks_recovered = 0
         self.replicas_trimmed = 0
         self.decommissions_started = 0
-        self.decommissions_completed = 0
         #: sim time the under-replication queues last drained (None while
         #: blocks are still pending) — the "time to full replication".
         self.fully_replicated_at: Optional[float] = 0.0
@@ -334,20 +330,15 @@ class ReplicationMonitor:
         if not any_alive:
             if bid not in self._lost:
                 self._lost.add(bid)
-                self.blocks_lost_total += 1
-                collector = self.tracker.collector
-                collector.block_lost()
-                recorder = self.tracker.recorder
-                if recorder.enabled:
-                    recorder.emit(
-                        BlockLost(
-                            t=self.sim.now,
-                            block_id=bid,
-                            file=block.file,
-                            index=block.index,
-                            size=block.size,
-                        )
+                self.tracker.collector.note(
+                    BlockLost(
+                        t=self.sim.now,
+                        block_id=bid,
+                        file=block.file,
+                        index=block.index,
+                        size=block.size,
                     )
+                )
             return
         if bid in self._lost:
             # a holder rejoined: the block is readable again
@@ -483,23 +474,17 @@ class ReplicationMonitor:
         block = self.namenode.block(repair.block_id)
         self.namenode.add_replica(block, repair.dst)
         self._node_blocks.setdefault(repair.dst, set()).add(repair.block_id)
-        self.repairs_completed += 1
-        self.repair_bytes += block.size
-        collector = self.tracker.collector
-        collector.replica_added(block.size)
-        recorder = self.tracker.recorder
-        if recorder.enabled:
-            recorder.emit(
-                ReplicaAdded(
-                    t=self.sim.now,
-                    block_id=block.block_id,
-                    file=block.file,
-                    node=repair.dst,
-                    src=repair.src,
-                    size=block.size,
-                    replicas=len(block.replicas),
-                )
+        self.tracker.collector.note(
+            ReplicaAdded(
+                t=self.sim.now,
+                block_id=block.block_id,
+                file=block.file,
+                node=repair.dst,
+                src=repair.src,
+                size=block.size,
+                replicas=len(block.replicas),
             )
+        )
         self._reassess(block)
         self._note_if_drained()
         self._check_decommissions()
@@ -574,19 +559,15 @@ class ReplicationMonitor:
                 self.namenode.remove_replica(block, victim)
                 self._node_blocks.get(victim, set()).discard(bid)
                 self.replicas_trimmed += 1
-                collector = self.tracker.collector
-                collector.replica_removed()
-                recorder = self.tracker.recorder
-                if recorder.enabled:
-                    recorder.emit(
-                        ReplicaRemoved(
-                            t=self.sim.now,
-                            block_id=bid,
-                            file=block.file,
-                            node=victim,
-                            replicas=len(block.replicas),
-                        )
+                self.tracker.collector.note(
+                    ReplicaRemoved(
+                        t=self.sim.now,
+                        block_id=bid,
+                        file=block.file,
+                        node=victim,
+                        replicas=len(block.replicas),
                     )
+                )
             self._reassess(block)
 
     def _trim_victim(self, block: Block, live: List[str]) -> str:
@@ -654,29 +635,19 @@ class ReplicationMonitor:
                     self.namenode.remove_replica(block, name)
                     self._node_blocks[name].discard(bid)
                     dropped += 1
-                    self.tracker.collector.replica_removed()
-                    recorder = self.tracker.recorder
-                    if recorder.enabled:
-                        recorder.emit(
-                            ReplicaRemoved(
-                                t=self.sim.now,
-                                block_id=bid,
-                                file=block.file,
-                                node=name,
-                                replicas=len(block.replicas),
-                            )
+                    self.tracker.collector.note(
+                        ReplicaRemoved(
+                            t=self.sim.now,
+                            block_id=bid,
+                            file=block.file,
+                            node=name,
+                            replicas=len(block.replicas),
                         )
-                self._reassess(block)
-            self.decommissions_completed += 1
-            collector = self.tracker.collector
-            collector.decommissioned()
-            recorder = self.tracker.recorder
-            if recorder.enabled:
-                recorder.emit(
-                    DecommissionDone(
-                        t=self.sim.now, node=name, blocks=dropped
                     )
-                )
+                self._reassess(block)
+            self.tracker.collector.note(
+                DecommissionDone(t=self.sim.now, node=name, blocks=dropped)
+            )
             if node.alive:
                 node.alive = False
                 node.incarnation += 1

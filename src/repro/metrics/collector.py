@@ -2,9 +2,14 @@
 
 The JobTracker calls into one :class:`MetricsCollector` per run.  The
 collector accumulates raw :class:`~repro.metrics.records.TaskRecord` /
-:class:`~repro.metrics.records.JobRecord` rows plus a few run-level counters,
-and offers the derived views the evaluation needs (arrays of completion
-times, locality shares, slot-occupancy integration).
+:class:`~repro.metrics.records.JobRecord` rows plus the run's counted
+facts, and offers the derived views the evaluation needs (arrays of
+completion times, locality shares, slot-occupancy integration).
+
+A counted fact is one typed :mod:`repro.trace.events` object, reported
+once through :meth:`MetricsCollector.note`: the collector counts it by
+event type and hands it on to the run's recorder, so the trace and the
+counters cannot disagree.
 """
 
 from __future__ import annotations
@@ -15,107 +20,121 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.metrics.records import LOCALITY_LEVELS, JobRecord, TaskRecord
+from repro.trace.events import (
+    NODE_LOST,
+    Assign,
+    AttemptFailed,
+    Blacklisted,
+    BlockLost,
+    Decline,
+    DecommissionDone,
+    JobFail,
+    JobSubmit,
+    MapOutputLost,
+    NodeDown,
+    NodeUp,
+    ReplicaAdded,
+    ReplicaRemoved,
+    TraceEvent,
+    TrackerDown,
+    TrackerUp,
+)
+from repro.trace.recorder import NullRecorder
 
-__all__ = ["MetricsCollector"]
+__all__ = ["COUNTED", "MetricsCollector"]
+
+#: Public counter name -> the event type it counts.  Each name reads as an
+#: attribute of the collector; fault and durability counts stay 0 on runs
+#: without faults or a ReplicationMonitor.
+COUNTED: Dict[str, str] = {
+    "jobs_submitted": JobSubmit.type,
+    "jobs_failed": JobFail.type,
+    "scheduling_assignments": Assign.type,
+    "scheduling_declines": Decline.type,
+    "nodes_lost": NodeDown.type,        # tracker expiries + detected restarts
+    "nodes_rejoined": NodeUp.type,
+    "maps_reexecuted": MapOutputLost.type,
+    "blacklistings": Blacklisted.type,  # (job, node) blacklist events
+    "tracker_crashes": TrackerDown.type,
+    "tracker_restarts": TrackerUp.type,  # journal-replay recoveries
+    "replicas_added": ReplicaAdded.type,
+    "replicas_removed": ReplicaRemoved.type,  # trims + drain drops
+    "blocks_lost": BlockLost.type,      # permanent-loss detections
+    "decommissions": DecommissionDone.type,
+}
 
 
 class MetricsCollector:
-    """Accumulates per-run measurements."""
+    """Accumulates per-run measurements.
 
-    def __init__(self) -> None:
+    ``recorder`` receives every noted event; the default records nothing.
+    """
+
+    def __init__(self, recorder: Optional[NullRecorder] = None) -> None:
+        self.recorder = recorder if recorder is not None else NullRecorder()
         self.task_records: List[TaskRecord] = []
         self.job_records: List[JobRecord] = []
+        #: noted events per event type (the one table every count reads)
+        self.counts: Counter = Counter()
+        #: job ids with their submission / abort times
         self.submitted: Dict[str, float] = {}
-        self.scheduling_declines = 0      # slot offers the task scheduler refused
-        self.scheduling_assignments = 0
-        self.speculative_launched = 0     # backup map attempts started
+        self.failed_jobs: Dict[str, float] = {}
         #: declined offers split by slot kind and announced reason; the
         #: per-reason counts always sum to ``scheduling_declines``
         self.decline_reasons: Dict[str, Counter] = {
             "map": Counter(),
             "reduce": Counter(),
         }
-        # fault / recovery counters (all stay 0 on fault-free runs)
-        self.nodes_lost = 0          # tracker expiries + detected restarts
-        self.nodes_rejoined = 0      # lost nodes that re-registered
-        self.attempts_killed = 0     # attempts lost to node failure (uncharged)
-        self.attempts_failed = 0     # charged task errors
-        self.maps_reexecuted = 0     # completed maps re-run after output loss
-        self.blacklistings = 0       # (job, node) blacklist events
-        self.tracker_crashes = 0     # JobTracker (master) failures
-        self.tracker_restarts = 0    # journal-replay recoveries
-        #: job ids that aborted after exhausting a task's retry budget,
-        #: with abort times
-        self.failed_jobs: Dict[str, float] = {}
-        # durability counters (all stay 0 without a ReplicationMonitor)
-        self.replicas_added = 0      # re-replication copies completed
-        self.replicas_removed = 0    # over-replication trims + drain drops
-        self.blocks_lost = 0         # permanent-loss detections
-        self.repair_bytes = 0.0      # bytes moved by re-replication flows
-        self.decommissions = 0       # nodes drained and released
+        #: ended attempts per ``AttemptFailed.reason``
+        self.attempt_reasons: Counter = Counter()
+        self.repair_bytes = 0.0       # bytes moved by re-replication flows
+        self.speculative_launched = 0  # backup map attempts started
+
+    def __getattr__(self, name: str) -> int:
+        # only reached for names the instance lacks: the COUNTED views
+        try:
+            etype = COUNTED[name]
+        except KeyError:
+            raise AttributeError(name) from None
+        return self.counts[etype]
+
+    @property
+    def attempts_killed(self) -> int:
+        """Attempts lost to node failure (uncharged)."""
+        return self.attempt_reasons[NODE_LOST]
+
+    @property
+    def attempts_failed(self) -> int:
+        """Charged attempt failures (every reason but ``node_lost``)."""
+        return self.counts[AttemptFailed.type] - self.attempt_reasons[NODE_LOST]
 
     # ------------------------------------------------------------------
     # engine-facing hooks
     # ------------------------------------------------------------------
-    def job_submitted(self, job_id: str, now: float) -> None:
-        self.submitted[job_id] = now
+    def note(self, event: TraceEvent) -> None:
+        """Count one engine fact and pass it to the run's recorder."""
+        etype = event.type
+        if etype == Decline.type:
+            reasons = self.decline_reasons.get(event.kind)
+            if reasons is None:
+                raise ValueError(f"bad slot kind {event.kind!r}")
+            reasons[event.reason] += 1
+        elif etype == AttemptFailed.type:
+            self.attempt_reasons[event.reason] += 1
+        elif etype == ReplicaAdded.type:
+            self.repair_bytes += event.size
+        elif etype == JobSubmit.type:
+            self.submitted[event.job_id] = event.t
+        elif etype == JobFail.type:
+            self.failed_jobs[event.job_id] = event.t
+        self.counts[etype] += 1
+        self.recorder.emit(event)
 
     def job_completed(self, record: JobRecord) -> None:
         self.job_records.append(record)
 
     def task_completed(self, record: TaskRecord) -> None:
         self.task_records.append(record)
-
-    def offer_declined(
-        self, kind: str = "map", reason: str = "no_candidate"
-    ) -> None:
-        if kind not in self.decline_reasons:
-            raise ValueError(f"bad slot kind {kind!r}")
-        self.scheduling_declines += 1
-        self.decline_reasons[kind][reason] += 1
-
-    def offer_assigned(self) -> None:
-        self.scheduling_assignments += 1
-
-    def job_failed(self, job_id: str, now: float) -> None:
-        self.failed_jobs[job_id] = now
-
-    def node_lost(self) -> None:
-        self.nodes_lost += 1
-
-    def node_rejoined(self) -> None:
-        self.nodes_rejoined += 1
-
-    def attempt_killed(self) -> None:
-        self.attempts_killed += 1
-
-    def attempt_failed(self) -> None:
-        self.attempts_failed += 1
-
-    def tracker_crashed(self) -> None:
-        self.tracker_crashes += 1
-
-    def tracker_restarted(self) -> None:
-        self.tracker_restarts += 1
-
-    def map_reexecuted(self) -> None:
-        self.maps_reexecuted += 1
-
-    def node_blacklisted(self) -> None:
-        self.blacklistings += 1
-
-    def replica_added(self, nbytes: float) -> None:
-        self.replicas_added += 1
-        self.repair_bytes += nbytes
-
-    def replica_removed(self) -> None:
-        self.replicas_removed += 1
-
-    def block_lost(self) -> None:
-        self.blocks_lost += 1
-
-    def decommissioned(self) -> None:
-        self.decommissions += 1
 
     # ------------------------------------------------------------------
     # derived views

@@ -2,8 +2,8 @@
 
 The library renders everything as text, but real analyses end up in
 notebooks and plotting tools; these helpers serialise a
-:class:`~repro.metrics.collector.MetricsCollector`'s raw rows losslessly
-(and read them back, for archiving benchmark runs).
+:class:`~repro.metrics.collector.MetricsCollector`'s raw rows and counts
+losslessly (and read them back, for archiving benchmark runs).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 from typing import Union
 
-from repro.metrics.collector import MetricsCollector
+from repro.metrics.collector import COUNTED, MetricsCollector
 from repro.metrics.records import JobRecord, TaskRecord
 
 __all__ = [
@@ -51,18 +51,20 @@ def jobs_to_csv(collector: MetricsCollector, path: PathLike) -> int:
 
 
 def collector_to_json(collector: MetricsCollector, path: PathLike) -> None:
-    """Serialise the full collector (tasks, jobs, counters) as JSON."""
+    """Serialise the full collector (tasks, jobs, counts) as JSON."""
     payload = {
         "tasks": [dataclasses.asdict(t) for t in collector.task_records],
         "jobs": [dataclasses.asdict(j) for j in collector.job_records],
         "submitted": collector.submitted,
-        "scheduling_declines": collector.scheduling_declines,
-        "scheduling_assignments": collector.scheduling_assignments,
-        "speculative_launched": collector.speculative_launched,
+        "failed_jobs": collector.failed_jobs,
+        "counts": dict(collector.counts),
         "decline_reasons": {
             kind: dict(counts)
             for kind, counts in collector.decline_reasons.items()
         },
+        "attempt_reasons": dict(collector.attempt_reasons),
+        "repair_bytes": collector.repair_bytes,
+        "speculative_launched": collector.speculative_launched,
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1)
@@ -76,8 +78,15 @@ def collector_from_json(path: PathLike) -> MetricsCollector:
     collector.task_records = [TaskRecord(**row) for row in payload["tasks"]]
     collector.job_records = [JobRecord(**row) for row in payload["jobs"]]
     collector.submitted = dict(payload.get("submitted", {}))
-    collector.scheduling_declines = payload.get("scheduling_declines", 0)
-    collector.scheduling_assignments = payload.get("scheduling_assignments", 0)
+    collector.failed_jobs = dict(payload.get("failed_jobs", {}))
+    if "counts" in payload:
+        collector.counts.update(payload["counts"])
+    else:
+        # older exports name their two counters one key each
+        for name in ("scheduling_declines", "scheduling_assignments"):
+            collector.counts[COUNTED[name]] = payload.get(name, 0)
+    collector.attempt_reasons.update(payload.get("attempt_reasons", {}))
+    collector.repair_bytes = payload.get("repair_bytes", 0.0)
     collector.speculative_launched = payload.get("speculative_launched", 0)
     # absent in exports predating per-reason accounting
     for kind, counts in payload.get("decline_reasons", {}).items():

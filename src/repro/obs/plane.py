@@ -23,6 +23,22 @@ from repro.obs.instruments import Gauge, MetricsRegistry
 
 __all__ = ["MetricsPlane"]
 
+#: (metric name, collector counter) pairs mirrored as cumulative counters
+_MIRRORED = (
+    ("jobs_submitted_total", "jobs_submitted"),
+    ("jobs_failed_total", "jobs_failed"),
+    ("assignments_total", "scheduling_assignments"),
+    ("speculative_total", "speculative_launched"),
+)
+#: the same, for runs with a ReplicationMonitor only, so metrics exports
+#: stay byte-identical on durability-off runs
+_MIRRORED_DURABILITY = (
+    ("repair_bytes_total", "repair_bytes"),
+    ("blocks_lost_total", "blocks_lost"),
+    ("replicas_added_total", "replicas_added"),
+    ("replicas_removed_total", "replicas_removed"),
+)
+
 
 class MetricsPlane:
     """Reads tracker/cluster/network state into a metrics registry."""
@@ -50,15 +66,16 @@ class MetricsPlane:
         self.h_fetch = r.histogram("shuffle_fetch_s")
 
         # cumulative counters mirrored from the collector / network
-        self.c_submitted = r.counter("jobs_submitted_total")
+        self._replication = getattr(tracker, "replication", None)
+        mirrored = _MIRRORED
+        if self._replication is not None:
+            mirrored += _MIRRORED_DURABILITY
+        self.c_mirrored = [(r.counter(name), attr) for name, attr in mirrored]
         self.c_completed = r.counter("jobs_completed_total")
-        self.c_failed = r.counter("jobs_failed_total")
         self.c_tasks = {
             "map": r.counter("tasks_completed_total", kind="map"),
             "reduce": r.counter("tasks_completed_total", kind="reduce"),
         }
-        self.c_assignments = r.counter("assignments_total")
-        self.c_speculative = r.counter("speculative_total")
         self.c_fabric_bytes = r.counter("fabric_bytes_total")
         self.c_local_bytes = r.counter("local_bytes_total")
         self.c_fetch_bytes = r.counter("shuffle_fetched_bytes_total")
@@ -94,16 +111,8 @@ class MetricsPlane:
         self.g_down_links = r.gauge("net_down_links")
         self.g_partitioned = r.gauge("net_partitioned_pairs")
 
-        # durability plane — instruments exist only when the run has a
-        # ReplicationMonitor, so metrics exports stay byte-identical on
-        # durability-off runs
-        self._replication = getattr(tracker, "replication", None)
         if self._replication is not None:
             self.g_under_replicated = r.gauge("under_replicated_blocks")
-            self.c_repair_bytes = r.counter("repair_bytes_total")
-            self.c_blocks_lost = r.counter("blocks_lost_total")
-            self.c_replicas_added = r.counter("replicas_added_total")
-            self.c_replicas_removed = r.counter("replicas_removed_total")
 
         # per-job queue-depth gauges, created when a job first appears and
         # zeroed once when it leaves the active set
@@ -139,11 +148,9 @@ class MetricsPlane:
             self.h_jct.observe(rec.completion_time)
         self._seen_jobs = len(c.job_records)
 
-        self.c_submitted.set_total(len(c.submitted))
+        for counter, attr in self.c_mirrored:
+            counter.set_total(getattr(c, attr))
         self.c_completed.set_total(len(c.job_records))
-        self.c_failed.set_total(len(c.failed_jobs))
-        self.c_assignments.set_total(c.scheduling_assignments)
-        self.c_speculative.set_total(c.speculative_launched)
         for kind, reasons in sorted(c.decline_reasons.items()):
             for reason, count in sorted(reasons.items()):
                 self.registry.counter(
@@ -222,15 +229,6 @@ class MetricsPlane:
             routing.partitioned_pairs if routing is not None else 0
         )
 
-    def _sample_durability(self) -> None:
-        monitor = self._replication
-        c = self.tracker.collector  # type: ignore[attr-defined]
-        self.g_under_replicated.set(monitor.under_replicated_count())
-        self.c_repair_bytes.set_total(c.repair_bytes)
-        self.c_blocks_lost.set_total(c.blocks_lost)
-        self.c_replicas_added.set_total(c.replicas_added)
-        self.c_replicas_removed.set_total(c.replicas_removed)
-
     def sample(self) -> None:
         """One sampling tick: ingest cumulatives, read levels, snapshot."""
         self._ingest()
@@ -238,7 +236,9 @@ class MetricsPlane:
         self._sample_queues()
         self._sample_network()
         if self._replication is not None:
-            self._sample_durability()
+            self.g_under_replicated.set(
+                self._replication.under_replicated_count()
+            )
         self.registry.sample(self.sim.now)  # type: ignore[attr-defined]
 
     def finalize(self) -> None:

@@ -1,9 +1,12 @@
 """Event recorders: the real `TraceRecorder` and the no-op `NullRecorder`.
 
-The engine holds exactly one recorder per run and calls it unconditionally;
-call sites guard event *construction* behind ``recorder.enabled`` so that a
-disabled run (the default, :class:`NullRecorder`) pays only one attribute
-read per decision and allocates nothing.
+The engine holds exactly one recorder per run.  Counted facts reach it
+through :meth:`~repro.metrics.collector.MetricsCollector.note`, which
+builds the event on every run; traced-only events (heartbeats, offers,
+evaluations, task and shuffle flows, fabric changes) guard their
+construction behind ``recorder.enabled``, so a disabled run (the default,
+:class:`NullRecorder`) pays one attribute read for each and allocates
+nothing.
 
 Events carry only simulated time, so the JSONL export is byte-identical
 across equal-seed runs.  Wall time is the profiler's job
@@ -13,9 +16,9 @@ across equal-seed runs.  Wall time is the profiler's job
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Tuple
+from typing import List
 
-from .events import Decline, TraceEvent
+from .events import TraceEvent
 
 __all__ = ["NullRecorder", "TraceRecorder"]
 
@@ -50,11 +53,3 @@ class TraceRecorder(NullRecorder):
     def counts(self) -> "Counter[str]":
         """Event counts keyed by event type tag."""
         return Counter(ev.type for ev in self.events)
-
-    def declines_by_reason(self) -> Dict[Tuple[str, str], int]:
-        """Decline counts keyed by ``(kind, reason)``."""
-        out: "Counter[Tuple[str, str]]" = Counter()
-        for ev in self.events:
-            if isinstance(ev, Decline):
-                out[(ev.kind, ev.reason)] += 1
-        return dict(out)

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from repro.cluster import ClusterSpec
+from repro.core import ProbabilisticNetworkAwareScheduler
 from repro.engine import Simulation
+from repro.experiments import get_scenario
+from repro.hdfs import DurabilityConfig
 from repro.metrics import (
     MetricsCollector,
     collector_from_json,
@@ -17,7 +21,9 @@ from repro.metrics import (
     jobs_to_csv,
     tasks_to_csv,
 )
+from repro.metrics.collector import COUNTED
 from repro.schedulers import RandomScheduler
+from repro.trace.events import Decline
 from repro.units import MB
 from repro.workload import JobSpec
 
@@ -31,6 +37,26 @@ def finished_collector():
         seed=8,
     )
     return sim.run().collector
+
+
+@pytest.fixture(scope="module")
+def churn_collector():
+    scenario = get_scenario("churn")
+    scenario = scenario.with_(
+        config=dataclasses.replace(
+            scenario.config, durability=DurabilityConfig()
+        )
+    )
+    jobs = scenario.jobs("wordcount")[:6]
+    sim = scenario.simulation(ProbabilisticNetworkAwareScheduler(), jobs)
+    return sim.run().collector
+
+
+#: every public count of a collector, by name
+PUBLIC_COUNTS = sorted(COUNTED) + [
+    "attempts_killed", "attempts_failed", "repair_bytes",
+    "speculative_launched", "failed_jobs", "submitted", "decline_reasons",
+]
 
 
 class TestCSVExport:
@@ -74,11 +100,44 @@ class TestJSONRoundtrip:
             == finished_collector.declines_by_reason()
         )
 
+    def test_churn_roundtrip_keeps_every_count(self, churn_collector, tmp_path):
+        path = tmp_path / "churn.json"
+        collector_to_json(churn_collector, path)
+        loaded = collector_from_json(path)
+        assert churn_collector.nodes_lost > 0
+        assert churn_collector.replicas_added > 0
+        for name in PUBLIC_COUNTS:
+            assert getattr(loaded, name) == getattr(churn_collector, name), name
+
+    def test_older_export_keys_still_read(self, finished_collector, tmp_path):
+        path = tmp_path / "old.json"
+        collector_to_json(finished_collector, path)
+        with open(path) as fh:
+            payload = json.load(fh)
+        del payload["counts"]
+        payload["scheduling_declines"] = finished_collector.scheduling_declines
+        payload["scheduling_assignments"] = (
+            finished_collector.scheduling_assignments
+        )
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        loaded = collector_from_json(path)
+        assert (
+            loaded.scheduling_assignments
+            == finished_collector.scheduling_assignments > 0
+        )
+        assert loaded.scheduling_declines == finished_collector.scheduling_declines
+
     def test_decline_reasons_roundtrip(self, tmp_path):
         collector = MetricsCollector()
-        collector.offer_declined("map", "locality_wait")
-        collector.offer_declined("reduce", "colocation_veto")
-        collector.offer_declined("reduce", "colocation_veto")
+        for kind, reason in (
+            ("map", "locality_wait"),
+            ("reduce", "colocation_veto"),
+            ("reduce", "colocation_veto"),
+        ):
+            collector.note(
+                Decline(t=0.0, node="n", kind=kind, reason=reason, job_id="")
+            )
         path = tmp_path / "declines.json"
         collector_to_json(collector, path)
         loaded = collector_from_json(path)

@@ -16,6 +16,8 @@ from repro.analysis import (
     reduction_percent,
 )
 from repro.metrics import JobRecord, MetricsCollector, TaskRecord
+from repro.trace import TraceRecorder
+from repro.trace.events import Decline, JobSubmit
 
 
 def tr(job="01", kind="map", index=0, node="n0", start=0.0, end=10.0,
@@ -55,8 +57,8 @@ class TestRecords:
 class TestCollector:
     def make(self):
         c = MetricsCollector()
-        c.job_submitted("01", 0.0)
-        c.job_submitted("02", 5.0)
+        c.note(JobSubmit(t=0.0, job_id="01"))
+        c.note(JobSubmit(t=5.0, job_id="02"))
         c.task_completed(tr(job="01", kind="map", index=0, start=0, end=10,
                             locality="node"))
         c.task_completed(tr(job="01", kind="map", index=1, start=2, end=14,
@@ -117,12 +119,18 @@ class TestCollector:
         assert c.makespan() == 20.0
 
     def test_offer_declined_reason_accounting(self):
-        c = MetricsCollector()
-        c.offer_declined()  # defaults: map / no_candidate
-        c.offer_declined("map", "below_pmin")
-        c.offer_declined("reduce", "colocation_veto")
-        c.offer_declined("reduce", "colocation_veto")
+        rec = TraceRecorder()
+        c = MetricsCollector(rec)
+        for kind, reason in (
+            ("map", "no_candidate"),
+            ("map", "below_pmin"),
+            ("reduce", "colocation_veto"),
+            ("reduce", "colocation_veto"),
+        ):
+            c.note(Decline(t=0.0, node="n", kind=kind, reason=reason, job_id=""))
         assert c.scheduling_declines == 4
+        # every noted event reaches the recorder once
+        assert len(rec.events) == 4
         assert c.declines_by_reason() == {
             ("map", "no_candidate"): 1,
             ("map", "below_pmin"): 1,
@@ -135,7 +143,11 @@ class TestCollector:
     def test_offer_declined_rejects_unknown_kind(self):
         c = MetricsCollector()
         with pytest.raises(ValueError):
-            c.offer_declined("shuffle", "no_candidate")
+            c.note(
+                Decline(t=0.0, node="n", kind="shuffle",
+                        reason="no_candidate", job_id="")
+            )
+        assert c.scheduling_declines == 0
         with pytest.raises(ValueError):
             c.declines_by_reason("shuffle")
 

@@ -170,9 +170,9 @@ class TestRepair:
         more fabric bytes than the same faulted run without the monitor."""
         plan = FaultPlan(crashes=(NodeCrash(at=10.0, node="r0n1"),))
         sim_off, _ = run(plan=plan, tracker_expiry_interval=9.0)
-        sim_on, _ = run(plan=plan, tracker_expiry_interval=9.0,
-                        durability=DurabilityConfig())
-        assert sim_on.replication.repair_bytes > 0
+        sim_on, res_on = run(plan=plan, tracker_expiry_interval=9.0,
+                             durability=DurabilityConfig())
+        assert res_on.collector.repair_bytes > 0
         assert (
             sim_on.cluster.network.bytes_transferred
             > sim_off.cluster.network.bytes_transferred
