@@ -45,7 +45,6 @@ _EVENT_VOCAB = "EVENT_TYPES"
 _CALL_SITES = {
     "note_decline": (0, "reason", "DECLINE_REASONS"),
     "fail": (0, None, "FAILURE_REASONS"),
-    "offer_declined": (1, "reason", "DECLINE_REASONS"),
     "Decline": (None, "reason", "DECLINE_REASONS"),
     "AttemptFailed": (None, "reason", "FAILURE_REASONS"),
     "JobFail": (None, "reason", "FAILURE_REASONS"),

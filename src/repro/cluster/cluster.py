@@ -129,8 +129,7 @@ class Cluster:
         # hot-path caches (all behaviour-invisible); under REPRO_NO_CACHE
         # every @cached_on method serves its reference recompute instead
         self._no_cache = caching_disabled()
-        self._free_map_view: Optional[tuple] = None
-        self._free_reduce_view: Optional[tuple] = None
+        self._slot_views: Dict[str, tuple] = {}
         self._rate_view: Optional[tuple] = None
         self._scale: Optional[float] = None
         for node in self.nodes:
@@ -268,10 +267,10 @@ class Cluster:
     # slot views (inputs to C_ave in Formulae 4-5)
     # ------------------------------------------------------------------
     def nodes_with_free_map_slots(self) -> List[Node]:
-        return list(self.free_map_slot_view()[0])
+        return list(self.free_slot_view("map")[0])
 
     def nodes_with_free_reduce_slots(self) -> List[Node]:
-        return list(self.free_reduce_slot_view()[0])
+        return list(self.free_slot_view("reduce")[0])
 
     @cached_on(
         invalidator="_invalidate_slot_views",
@@ -282,52 +281,30 @@ class Cluster:
             "Node.map_slots",
             "Node.reduce_slots",
         ),
-        reference="_free_map_slot_view_uncached",
+        reference="_free_slot_view_uncached",
         watcher="Node.__setattr__",
-        probe=lambda self: self._free_map_view is not None,
+        probe=lambda self, kind: kind in self._slot_views,
     )
-    def free_map_slot_view(self) -> tuple:
-        """Cached ``(nodes, idx, pos)`` view of nodes with free map slots.
+    def free_slot_view(self, kind: str) -> tuple:
+        """Cached ``(nodes, idx, pos)`` view of nodes with a free ``kind``
+        (``"map"``/``"reduce"``) slot.
 
         ``nodes`` is the offerable-node list in index order, ``idx`` their
         dense cluster indices (int64) and ``pos`` the inverse lookup:
         ``pos[node.index]`` is that node's row in ``idx`` (−1 if the node
-        has no free slot).  Arrays are read-only; the view is invalidated
-        automatically on any slot or liveness transition (see
+        has no free slot).  Arrays are read-only; both kinds' views are
+        invalidated automatically on any slot or liveness transition (see
         ``Node.__setattr__``).
         """
-        view = self._free_map_view
+        view = self._slot_views.get(kind)
         if view is None:
-            view = self._free_map_view = self._free_map_slot_view_uncached()
+            view = self._slot_views[kind] = self._free_slot_view_uncached(kind)
         return view
 
-    @cached_on(
-        invalidator="_invalidate_slot_views",
-        inputs=(),  # shares free_map_slot_view's declared Node inputs
-        reference="_free_reduce_slot_view_uncached",
-        watcher="Node.__setattr__",
-        probe=lambda self: self._free_reduce_view is not None,
-    )
-    def free_reduce_slot_view(self) -> tuple:
-        """As :meth:`free_map_slot_view`, for reduce slots."""
-        view = self._free_reduce_view
-        if view is None:
-            view = self._free_reduce_view = self._free_reduce_slot_view_uncached()
-        return view
-
-    def _free_map_slot_view_uncached(self) -> tuple:
-        """Reference recompute behind :meth:`free_map_slot_view`."""
-        return self._make_slot_view(
-            [n for n in self.nodes if n.alive and n.free_map_slots > 0]
-        )
-
-    def _free_reduce_slot_view_uncached(self) -> tuple:
-        """Reference recompute behind :meth:`free_reduce_slot_view`."""
-        return self._make_slot_view(
-            [n for n in self.nodes if n.alive and n.free_reduce_slots > 0]
-        )
-
-    def _make_slot_view(self, nodes: List[Node]) -> tuple:
+    def _free_slot_view_uncached(self, kind: str) -> tuple:
+        """Reference recompute behind :meth:`free_slot_view`."""
+        free = f"free_{kind}_slots"
+        nodes = [n for n in self.nodes if n.alive and getattr(n, free) > 0]
         idx = np.fromiter((n.index for n in nodes), np.int64, len(nodes))
         pos = np.full(len(self.nodes), -1, dtype=np.int64)
         pos[idx] = np.arange(len(nodes), dtype=np.int64)
@@ -336,11 +313,7 @@ class Cluster:
         return (nodes, idx, pos)
 
     def _invalidate_slot_views(self) -> None:
-        self._free_map_view = None
-        self._free_reduce_view = None
-
-    def alive_nodes(self) -> List[Node]:
-        return [n for n in self.nodes if n.alive]
+        self._slot_views.clear()
 
     def total_map_slots(self) -> int:
         return sum(n.map_slots for n in self.nodes)
@@ -350,9 +323,6 @@ class Cluster:
 
     def running_map_tasks(self) -> int:
         return sum(n.running_maps for n in self.nodes)
-
-    def running_reduce_tasks(self) -> int:
-        return sum(n.running_reduces for n in self.nodes)
 
     def __repr__(self) -> str:
         return (

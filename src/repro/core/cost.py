@@ -300,7 +300,8 @@ class JobCostModel:
             reduce_indices = np.asarray(reduce_indices, dtype=np.int64)
             est = estimator if estimator is not None else ProgressEstimator()
 
-            running = self.job.running_maps()
+            views = self.job.map_views()
+            running = views.running
             if distance is None:
                 base = self._Sc[np.ix_(node_indices, reduce_indices)]
                 paths = self._hop_view
@@ -322,7 +323,7 @@ class JobCostModel:
                         [est.estimate(m, now) for m in running]
                     )
                 else:
-                    p_run = self.job.running_map_node_index_array()
+                    p_run = views.running_nodes
                     est_rows = est.estimate_many(running, now)
                 est_rows = est_rows[:, reduce_indices]
                 base = base + _inf_safe_matmul(

@@ -25,7 +25,7 @@ making the cost sensitive to congestion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Union
 
 import numpy as np
 
@@ -122,50 +122,16 @@ class ProbabilisticNetworkAwareScheduler(TaskScheduler):
         return ctx.cluster.path_costs()
 
     # ------------------------------------------------------------------
-    # Algorithm 1 — map placement
+    # Algorithms 1 and 2 — the kind-specific heads
     # ------------------------------------------------------------------
     def select_map(
         self, node: "Node", job: "Job", ctx: SchedulerContext
     ) -> Optional["MapTask"]:
-        pending = job.pending_maps()
-        if not pending:
-            return None
-        model = self.cost_model(job)
-        _, free_idx, free_pos = ctx.free_map_view()
-        task_idx = job.pending_map_index_array()
-        row = int(free_pos[node.index])
-        assert row >= 0, f"offered node {node.name} not in the free-slot view"
         # C_m(i, j) per candidate and the Line-6 mean over N_m nodes, as a
         # bundle: offers between state changes share one matrix evaluation
-        c_here, c_ave = model.map_offer_costs(
-            row, free_idx, task_idx, distance=self._distance(ctx)
-        )
-        probs = self.probability_model.probability(c_ave, c_here)  # Line 7
-        if ctx.invariants is not None:
-            ctx.invariants.check_probabilities(
-                probs, where=f"{self.name}.select_map[{job.spec.job_id}]"
-            )
+        model = self.cost_model(job)
+        return self._select("map", node, job, ctx, model.map_offer_costs)
 
-        best = int(np.argmax(probs))              # Line 9
-        p_best = float(probs[best])
-        if ctx.recorder.enabled:
-            ctx.note_evaluation(
-                kind="map", job_id=job.spec.job_id, node=node,
-                candidates=len(pending), task_index=pending[best].index,
-                c_here=float(c_here[best]), c_ave=float(c_ave[best]),
-                p=p_best,
-            )
-        if p_best < self.config.p_min:            # Lines 10-12
-            ctx.note_decline(BELOW_PMIN)
-            return None
-        if ctx.rng.random() < p_best:             # Lines 13-16
-            return pending[best]
-        ctx.note_decline(BERNOULLI_MISS)
-        return None
-
-    # ------------------------------------------------------------------
-    # Algorithm 2 — reduce placement
-    # ------------------------------------------------------------------
     def select_reduce(
         self, node: "Node", job: "Job", ctx: SchedulerContext
     ) -> Optional["ReduceTask"]:
@@ -174,42 +140,60 @@ class ProbabilisticNetworkAwareScheduler(TaskScheduler):
         ):
             ctx.note_decline(COLOCATION_VETO)
             return None                           # Line 1
-        pending = job.pending_reduces()
+        # Lines 3-5 (Formula 3) and the Line-7 mean over N_r nodes, bundled
+        model = self.cost_model(job)
+        return self._select(
+            "reduce", node, job, ctx, model.reduce_offer_costs,
+            ctx.now, self.estimator,
+        )
+
+    # ------------------------------------------------------------------
+    # the shared decision (Algorithm 1 lines 7-16, Algorithm 2 lines 8-17)
+    # ------------------------------------------------------------------
+    def _select(
+        self,
+        kind: str,
+        node: "Node",
+        job: "Job",
+        ctx: SchedulerContext,
+        offer_costs: Callable[..., tuple],
+        *args: object,
+    ) -> Optional[Union["MapTask", "ReduceTask"]]:
+        """Score ``job``'s pending ``kind`` tasks for ``node`` through
+        ``offer_costs`` (the kind's ``JobCostModel`` bundle, called with
+        ``args`` after the index arrays), then decline below ``P_min`` or
+        accept the best with probability ``P``."""
+        views = job.map_views() if kind == "map" else job.reduce_views()
+        pending = views.pending
         if not pending:
             return None
-        model = self.cost_model(job)
-        _, free_idx, free_pos = ctx.free_reduce_view()
-        reduce_idx = job.pending_reduce_index_array()
+        _, free_idx, free_pos = ctx.free_slot_view(kind)
         row = int(free_pos[node.index])
         assert row >= 0, f"offered node {node.name} not in the free-slot view"
-        # Lines 3-5 (Formula 3) and the Line-7 mean over N_r nodes, bundled
-        c_here, c_ave = model.reduce_offer_costs(
-            row,
-            free_idx,
-            reduce_idx,
-            ctx.now,
-            estimator=self.estimator,
+        c_here, c_ave = offer_costs(
+            row, free_idx, views.pending_idx, *args,
             distance=self._distance(ctx),
         )
-        probs = self.probability_model.probability(c_ave, c_here)  # Line 8
+        # Formulae 4-5: P per candidate
+        probs = self.probability_model.probability(c_ave, c_here)
         if ctx.invariants is not None:
             ctx.invariants.check_probabilities(
-                probs, where=f"{self.name}.select_reduce[{job.spec.job_id}]"
+                probs, where=f"{self.name}.select_{kind}[{job.spec.job_id}]"
             )
 
-        best = int(np.argmax(probs))               # Line 10
+        best = int(np.argmax(probs))              # the largest P
         p_best = float(probs[best])
         if ctx.recorder.enabled:
             ctx.note_evaluation(
-                kind="reduce", job_id=job.spec.job_id, node=node,
+                kind=kind, job_id=job.spec.job_id, node=node,
                 candidates=len(pending), task_index=pending[best].index,
                 c_here=float(c_here[best]), c_ave=float(c_ave[best]),
                 p=p_best,
             )
-        if p_best < self.config.p_min:              # Lines 11-13
+        if p_best < self.config.p_min:            # decline below P_min
             ctx.note_decline(BELOW_PMIN)
             return None
-        if ctx.rng.random() < p_best:               # Lines 14-17
+        if ctx.rng.random() < p_best:             # assign with probability P
             return pending[best]
         ctx.note_decline(BERNOULLI_MISS)
         return None

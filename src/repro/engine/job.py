@@ -11,12 +11,12 @@ events to any attached cost models, job completion to the tracker.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Callable, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Set
 
 import numpy as np
 
 from repro.cache import caching_disabled
-from repro.coherence import cached_on
+from repro.coherence import cached_on, sanitize_cache_active
 from repro.engine.task import MapTask, ReduceTask, TaskState
 from repro.metrics.records import JobRecord
 from repro.workload.partition import intermediate_matrix, partition_weights
@@ -25,7 +25,35 @@ from repro.workload.spec import JobSpec
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.jobtracker import JobTracker
 
-__all__ = ["Job"]
+__all__ = ["Job", "TaskViews"]
+
+
+class TaskViews(NamedTuple):
+    """One slot kind's task-state views, built together in one pass.
+
+    The arrays are read-only int64: ``pending_idx`` holds the pending
+    tasks' indices and ``running_nodes`` the node index of each running
+    task, aligned with ``pending`` and ``running``.
+    """
+
+    pending: list
+    running: list
+    pending_idx: np.ndarray
+    running_nodes: np.ndarray
+
+    @classmethod
+    def build(cls, tasks: list) -> "TaskViews":
+        pending = [t for t in tasks if t.state is TaskState.PENDING]
+        running = [t for t in tasks if t.state is TaskState.RUNNING]
+        pending_idx = np.fromiter(
+            (t.index for t in pending), np.int64, len(pending)
+        )
+        running_nodes = np.fromiter(
+            (t.node.index for t in running), np.int64, len(running)
+        )
+        pending_idx.setflags(write=False)
+        running_nodes.setflags(write=False)
+        return cls(pending, running, pending_idx, running_nodes)
 
 
 class Job:
@@ -89,15 +117,11 @@ class Job:
         # completed-map arrays) key on "any map changed state/placement".
         # Under REPRO_NO_CACHE, @cached_on serves each view's reference.
         self._no_cache = caching_disabled()
+        self._sanitize = sanitize_cache_active()
         self.map_version = 0
         self.reduce_version = 0
-        self._pending_maps: Optional[List[MapTask]] = None
-        self._running_maps: Optional[List[MapTask]] = None
-        self._pending_reduces: Optional[List[ReduceTask]] = None
-        self._running_reduces: Optional[List[ReduceTask]] = None
-        self._pending_map_idx: Optional[np.ndarray] = None
-        self._pending_reduce_idx: Optional[np.ndarray] = None
-        self._running_map_nodes: Optional[np.ndarray] = None
+        self._map_views: Optional[TaskViews] = None
+        self._reduce_views: Optional[TaskViews] = None
 
     # ------------------------------------------------------------------
     # state queries
@@ -129,135 +153,80 @@ class Job:
             sum(m.read_fraction(now) for m in self.maps) / self.num_maps
         )
 
+    # Each kind's views are built together, once per version bump, under
+    # one declaration.  The readers below take a built view straight from
+    # its slot, with no wrapper call, unless the cache sanitizer was on
+    # when the job was created: then every read goes through the declared
+    # method, so that hits are shadow-verified.
     @cached_on(
         "map_version",
         invalidator="_invalidate_map_views",
         inputs=("MapTask.state", "MapTask.node"),
-        reference="_pending_maps_uncached",
-        probe=lambda self: self._pending_maps is not None,
+        reference="_map_views_uncached",
+        probe=lambda self: self._map_views is not None,
     )
-    def pending_maps(self) -> List[MapTask]:
-        if self._pending_maps is None:
-            self._pending_maps = self._pending_maps_uncached()
-        return self._pending_maps
+    def map_views(self) -> TaskViews:
+        """The maps' :class:`TaskViews`, rebuilt once per ``map_version``."""
+        if self._map_views is None:
+            self._map_views = self._map_views_uncached()
+        return self._map_views
 
     @cached_on(
         "reduce_version",
         invalidator="_invalidate_reduce_views",
         inputs=("ReduceTask.state", "ReduceTask.node"),
-        reference="_pending_reduces_uncached",
-        probe=lambda self: self._pending_reduces is not None,
+        reference="_reduce_views_uncached",
+        probe=lambda self: self._reduce_views is not None,
     )
+    def reduce_views(self) -> TaskViews:
+        """The reduces' :class:`TaskViews`, rebuilt once per
+        ``reduce_version``."""
+        if self._reduce_views is None:
+            self._reduce_views = self._reduce_views_uncached()
+        return self._reduce_views
+
+    def _map_views_uncached(self) -> TaskViews:
+        return TaskViews.build(self.maps)
+
+    def _reduce_views_uncached(self) -> TaskViews:
+        return TaskViews.build(self.reduces)
+
+    def pending_maps(self) -> List[MapTask]:
+        views = self._map_views
+        if views is None or self._sanitize:
+            views = self.map_views()
+        return views.pending
+
+    def running_maps(self) -> List[MapTask]:
+        views = self._map_views
+        if views is None or self._sanitize:
+            views = self.map_views()
+        return views.running
+
     def pending_reduces(self) -> List[ReduceTask]:
-        if self._pending_reduces is None:
-            self._pending_reduces = self._pending_reduces_uncached()
-        return self._pending_reduces
+        views = self._reduce_views
+        if views is None or self._sanitize:
+            views = self.reduce_views()
+        return views.pending
+
+    def running_reduces(self) -> List[ReduceTask]:
+        views = self._reduce_views
+        if views is None or self._sanitize:
+            views = self.reduce_views()
+        return views.running
 
     def started_maps(self) -> List[MapTask]:
         return [m for m in self.maps if m.state is not TaskState.PENDING]
 
-    @cached_on(
-        "map_version",
-        invalidator="_invalidate_map_views",
-        reference="_running_maps_uncached",
-        probe=lambda self: self._running_maps is not None,
-    )
-    def running_maps(self) -> List[MapTask]:
-        if self._running_maps is None:
-            self._running_maps = self._running_maps_uncached()
-        return self._running_maps
-
-    @cached_on(
-        "reduce_version",
-        invalidator="_invalidate_reduce_views",
-        reference="_running_reduces_uncached",
-        probe=lambda self: self._running_reduces is not None,
-    )
-    def running_reduces(self) -> List[ReduceTask]:
-        if self._running_reduces is None:
-            self._running_reduces = self._running_reduces_uncached()
-        return self._running_reduces
-
-    def _pending_maps_uncached(self) -> List[MapTask]:
-        return [m for m in self.maps if m.state is TaskState.PENDING]
-
-    def _pending_reduces_uncached(self) -> List[ReduceTask]:
-        return [r for r in self.reduces if r.state is TaskState.PENDING]
-
-    def _running_maps_uncached(self) -> List[MapTask]:
-        return [m for m in self.maps if m.state is TaskState.RUNNING]
-
-    def _running_reduces_uncached(self) -> List[ReduceTask]:
-        return [r for r in self.reduces if r.state is TaskState.RUNNING]
-
-    @cached_on(
-        "map_version",
-        invalidator="_invalidate_map_views",
-        reference="_pending_map_index_array_uncached",
-        probe=lambda self: self._pending_map_idx is not None,
-    )
-    def pending_map_index_array(self) -> np.ndarray:
-        """Indices of pending maps, in task order (read-only int64)."""
-        if self._pending_map_idx is None:
-            idx = self._pending_map_index_array_uncached()
-            idx.setflags(write=False)
-            self._pending_map_idx = idx
-        return self._pending_map_idx
-
-    @cached_on(
-        "reduce_version",
-        invalidator="_invalidate_reduce_views",
-        reference="_pending_reduce_index_array_uncached",
-        probe=lambda self: self._pending_reduce_idx is not None,
-    )
-    def pending_reduce_index_array(self) -> np.ndarray:
-        """Indices of pending reduces, in task order (read-only int64)."""
-        if self._pending_reduce_idx is None:
-            idx = self._pending_reduce_index_array_uncached()
-            idx.setflags(write=False)
-            self._pending_reduce_idx = idx
-        return self._pending_reduce_idx
-
-    @cached_on(
-        "map_version",
-        invalidator="_invalidate_map_views",
-        reference="_running_map_node_index_array_uncached",
-        probe=lambda self: self._running_map_nodes is not None,
-    )
-    def running_map_node_index_array(self) -> np.ndarray:
-        """Node index of each running map, aligned with :meth:`running_maps`."""
-        if self._running_map_nodes is None:
-            idx = self._running_map_node_index_array_uncached()
-            idx.setflags(write=False)
-            self._running_map_nodes = idx
-        return self._running_map_nodes
-
-    def _pending_map_index_array_uncached(self) -> np.ndarray:
-        pend = self.pending_maps()
-        return np.fromiter((m.index for m in pend), np.int64, len(pend))
-
-    def _pending_reduce_index_array_uncached(self) -> np.ndarray:
-        pend = self.pending_reduces()
-        return np.fromiter((r.index for r in pend), np.int64, len(pend))
-
-    def _running_map_node_index_array_uncached(self) -> np.ndarray:
-        run = self.running_maps()
-        return np.fromiter((m.node.index for m in run), np.int64, len(run))
-
     def _invalidate_map_views(self) -> None:
-        """A map task changed state or placement; drop derived caches."""
+        """A map task changed state or placement; drop its views."""
         self.map_version += 1
-        self._pending_maps = None
-        self._running_maps = None
-        self._pending_map_idx = None
-        self._running_map_nodes = None
+        self._map_views = None
 
     def _invalidate_reduce_views(self) -> None:
-        """A reduce task changed state; drop derived caches."""
+        """A reduce task changed state or placement; drop its views."""
         self.reduce_version += 1
-        self._pending_reduces = None
-        self._running_reduces = None
-        self._pending_reduce_idx = None
+        self._reduce_views = None
 
     def launched_reduce_count(self) -> int:
         """Reduces running or finished (Coupling's gradual-launch gate)."""

@@ -466,10 +466,9 @@ class JobTracker:
 
     def _decline_free_slots(self, node: Node, reason: str) -> None:
         """Decline each slot kind ``node`` has free, all for ``reason``."""
-        if node.free_map_slots > 0:
-            self._decline(node, "map", reason)
-        if node.free_reduce_slots > 0:
-            self._decline(node, "reduce", reason)
+        for kind in ("map", "reduce"):
+            if getattr(node, f"free_{kind}_slots") > 0:
+                self._decline(node, kind, reason)
 
     # ------------------------------------------------------------------
     # slot offers
@@ -501,8 +500,8 @@ class JobTracker:
                 # nor be shuffled from, so decline its slots outright
                 self._decline_free_slots(node, NO_ROUTE)
             else:
-                self._offer_map_slots(node)
-                self._offer_reduce_slots(node)
+                self._offer_slots(node, "map")
+                self._offer_slots(node, "reduce")
         if self.invariants is not None:
             self.invariants.after_heartbeat()
 
@@ -510,15 +509,11 @@ class JobTracker:
         """One scheduler selection call, under a ``scheduler.select_*``
         scope when a profiler is installed.
 
-        Both offer loops funnel through here so the candidate scan (the
+        Every offer round funnels through here so the candidate scan (the
         known hot site) is attributed separately from the rest of the
         heartbeat in ``repro profile`` output.
         """
-        select = (
-            self.task_scheduler.select_map
-            if kind == "map"
-            else self.task_scheduler.select_reduce
-        )
+        select = getattr(self.task_scheduler, f"select_{kind}")
         prof = _obs_profile.ACTIVE
         if prof is not None:
             prof.push(f"scheduler.select_{kind}")
@@ -528,23 +523,35 @@ class JobTracker:
             if prof is not None:
                 prof.pop()
 
-    def _offer_map_slots(self, node: Node) -> None:
+    def _offer_slots(self, node: Node, kind: str) -> None:
+        """Offer ``node``'s free ``kind`` slots, one round per slot.
+
+        The kinds differ in three things only: the free-slot count, the
+        candidate filter (jobs with a pending map, or with reduces past
+        slow-start) and the map-only fallback of backing up a straggler
+        from a slot no job claims.
+        """
         rec = self.recorder
-        budget = node.free_map_slots if self.config.assign_multiple else 1
-        while node.free_map_slots > 0 and budget > 0:
+        free = f"free_{kind}_slots"
+        ready = Job.pending_maps if kind == "map" else Job.reduces_schedulable
+        budget = getattr(node, free) if self.config.assign_multiple else 1
+        while getattr(node, free) > 0 and budget > 0:
             budget -= 1
-            candidates = [j for j in self.active_jobs if j.pending_maps()]
-            if rec.enabled and candidates:
-                rec.emit(
-                    SlotOffer(
-                        t=self.sim.now, node=node.name, kind="map",
-                        jobs=len(candidates),
+            candidates = [j for j in self.active_jobs if ready(j)]
+            ordered = ()
+            if candidates:
+                if rec.enabled:
+                    rec.emit(
+                        SlotOffer(
+                            t=self.sim.now, node=node.name, kind=kind,
+                            jobs=len(candidates),
+                        )
                     )
-                )
+                ordered = self.job_scheduler.order(candidates, kind)
             assigned = False
             round_reason: Optional[str] = None
             head_job = ""
-            for job in self.job_scheduler.order(candidates, "map"):
+            for job in ordered:
                 if node.name in job.blacklisted:
                     # the job refuses this node's slots; never even ask
                     # the scheduler (mirrors Hadoop's per-job blacklist)
@@ -553,22 +560,22 @@ class JobTracker:
                         head_job = job.spec.job_id
                     continue
                 self._noted_reason = None
-                task = self._select_task("map", node, job)
+                task = self._select_task(kind, node, job)
                 if task is not None:
                     if task.assigned or task.job is not job:
                         raise RuntimeError(
-                            f"scheduler returned invalid map task {task}"
+                            f"scheduler returned invalid {kind} task {task}"
                         )
                     if self.invariants is not None:
                         self.invariants.check_assignment(node, job)
                     task.launch(node)
                     if self.metrics is not None:
                         self.metrics.task_assigned(
-                            "map", self.sim.now - task.pending_since
+                            kind, self.sim.now - task.pending_since
                         )
                     self.collector.note(
                         Assign(
-                            t=self.sim.now, node=node.name, kind="map",
+                            t=self.sim.now, node=node.name, kind=kind,
                             job_id=job.spec.job_id, task_index=task.index,
                         )
                     )
@@ -578,13 +585,17 @@ class JobTracker:
                     round_reason = self._noted_reason
                     head_job = job.spec.job_id
             if not assigned:
-                # a slot nobody claims may back up a straggler (Hadoop
+                # a map slot nobody claims may back up a straggler (Hadoop
                 # launches speculative attempts from otherwise-idle slots)
-                if self.config.speculative and self._try_speculate(node):
+                if (
+                    kind == "map"
+                    and self.config.speculative
+                    and self._try_speculate(node)
+                ):
                     continue
                 if candidates:
                     self._decline(
-                        node, "map", round_reason or NO_CANDIDATE, head_job
+                        node, kind, round_reason or NO_CANDIDATE, head_job
                     )
                 return
 
@@ -644,58 +655,3 @@ class JobTracker:
         best.launch_speculative(node)
         self.collector.speculative_launched += 1
         return True
-
-    def _offer_reduce_slots(self, node: Node) -> None:
-        rec = self.recorder
-        budget = node.free_reduce_slots if self.config.assign_multiple else 1
-        while node.free_reduce_slots > 0 and budget > 0:
-            budget -= 1
-            candidates = [j for j in self.active_jobs if j.reduces_schedulable()]
-            if not candidates:
-                return
-            if rec.enabled:
-                rec.emit(
-                    SlotOffer(
-                        t=self.sim.now, node=node.name, kind="reduce",
-                        jobs=len(candidates),
-                    )
-                )
-            assigned = False
-            round_reason: Optional[str] = None
-            head_job = ""
-            for job in self.job_scheduler.order(candidates, "reduce"):
-                if node.name in job.blacklisted:
-                    if round_reason is None:
-                        round_reason = BLACKLISTED
-                        head_job = job.spec.job_id
-                    continue
-                self._noted_reason = None
-                task = self._select_task("reduce", node, job)
-                if task is not None:
-                    if task.assigned or task.job is not job:
-                        raise RuntimeError(
-                            f"scheduler returned invalid reduce task {task}"
-                        )
-                    if self.invariants is not None:
-                        self.invariants.check_assignment(node, job)
-                    task.launch(node)
-                    if self.metrics is not None:
-                        self.metrics.task_assigned(
-                            "reduce", self.sim.now - task.pending_since
-                        )
-                    self.collector.note(
-                        Assign(
-                            t=self.sim.now, node=node.name, kind="reduce",
-                            job_id=job.spec.job_id, task_index=task.index,
-                        )
-                    )
-                    assigned = True
-                    break
-                if round_reason is None:
-                    round_reason = self._noted_reason
-                    head_job = job.spec.job_id
-            if not assigned:
-                self._decline(
-                    node, "reduce", round_reason or NO_CANDIDATE, head_job
-                )
-                return

@@ -60,11 +60,6 @@ class SchedulerContext:
         return self.tracker.namenode
 
     @property
-    def hops(self) -> np.ndarray:
-        """The hop-count distance matrix ``H``."""
-        return self.tracker.cluster.hop_matrix
-
-    @property
     def invariants(self) -> Optional["InvariantChecker"]:
         """The run's invariant checker, or None when checking is off."""
         return getattr(self.tracker, "invariants", None)
@@ -82,14 +77,11 @@ class SchedulerContext:
         """Nodes with at least one free reduce slot (``N_r`` nodes)."""
         return self.tracker.cluster.nodes_with_free_reduce_slots()
 
-    def free_map_view(self) -> tuple:
-        """Cached ``(nodes, idx, pos)`` free-map-slot view — hot-path form
-        of :meth:`free_map_nodes`; see ``Cluster.free_map_slot_view``."""
-        return self.tracker.cluster.free_map_slot_view()
-
-    def free_reduce_view(self) -> tuple:
-        """Cached ``(nodes, idx, pos)`` free-reduce-slot view."""
-        return self.tracker.cluster.free_reduce_slot_view()
+    def free_slot_view(self, kind: str) -> tuple:
+        """Cached ``(nodes, idx, pos)`` view of the nodes with a free
+        ``kind`` slot — hot-path form of :meth:`free_map_nodes` /
+        :meth:`free_reduce_nodes`; see ``Cluster.free_slot_view``."""
+        return self.tracker.cluster.free_slot_view(kind)
 
     # -- observability (does not change scheduling state) ---------------
 

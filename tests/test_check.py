@@ -343,11 +343,16 @@ class TestCoherence:
 
         project = Project.from_paths([SRC])
         decls = collect_declarations(project)
-        assert len(decls) >= 10  # network, cluster, job, cost + CACHE_DEPS
-        qualnames = {d.qualname for d in decls}
-        assert "Cluster.inverse_rate_matrix" in qualnames
-        assert "FlowNetwork._refill" in qualnames
-        assert "Job.pending_maps" in qualnames
+        assert sorted(d.qualname for d in decls) == [
+            "Cluster.free_slot_view",
+            "Cluster.inverse_rate_matrix",
+            "FlowNetwork._refill",
+            "Job.map_views",
+            "Job.reduce_views",
+            "JobCostModel._distance_done_matrix",
+            "JobCostModel.map_offer_costs",
+            "JobCostModel.reduce_offer_costs",
+        ]
 
 
 # ----------------------------------------------------------------------

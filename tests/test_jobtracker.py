@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -157,3 +159,111 @@ class TestJobOrderingIntegration:
                 starts[t.job_id].append(t.start)
         # job 01 monopolises early slots: its median start precedes job 02's
         assert np.median(starts["01"]) <= np.median(starts["02"])
+
+
+class _NeverScheduler(RandomScheduler):
+    name = "never"
+
+    def select_map(self, node, job, ctx):
+        return None
+
+    def select_reduce(self, node, job, ctx):
+        return None
+
+
+def _offer_events(sim, kind):
+    """Offer and decline trace events of one slot kind."""
+    return [
+        ev for ev in sim.tracker.recorder.events
+        if ev.type in ("offer", "decline") and ev.kind == kind
+    ]
+
+
+class TestSlotKinds:
+    """What the map and reduce offer rounds do differently."""
+
+    def test_reduce_round_without_schedulable_job_is_silent(self):
+        # no map ever runs, so slow-start never opens the reduces: every
+        # reduce round finds no candidate job and leaves no trace
+        sim = make_sim(
+            scheduler=_NeverScheduler(), config=EngineConfig(trace=True)
+        )
+        sim.tracker.start()
+        sim.sim.run(until=10.0)
+        heartbeats = [
+            ev for ev in sim.tracker.recorder.events
+            if ev.type == "heartbeat" and ev.free_reduce_slots > 0
+        ]
+        assert heartbeats
+        assert _offer_events(sim, "map")  # the map rounds did run
+        assert _offer_events(sim, "reduce") == []
+
+    @pytest.mark.parametrize("speculative", [False, True])
+    def test_map_round_without_pending_map_is_silent(self, speculative):
+        # two maps on 24 map slots launch on the first heartbeats; after
+        # that no job has a pending map and no map is old enough to back up
+        sim = make_sim(
+            jobs=[JobSpec.make("01", "grep", 2 * 64 * MB, 2, 2)],
+            config=EngineConfig(trace=True, speculative=speculative),
+        )
+        sim.tracker.start()
+        sim.sim.run(until=0.0)
+        (job,) = sim.tracker.active_jobs
+        while job.pending_maps():
+            sim.sim.step()
+        idle = [n for n in sim.cluster.nodes if n.free_map_slots > 0]
+        rec = sim.tracker.recorder
+        rec.events.clear()
+        for node in idle:
+            sim.tracker.on_heartbeat(node)
+        assert _offer_events(sim, "map") == []
+        assert sim.tracker.collector.speculative_launched == 0
+
+    def test_only_an_idle_map_slot_backs_up_a_straggler(self, straggler_sim):
+        sim = straggler_sim(config=EngineConfig(slowstart=1.0))
+        tracker = sim.tracker
+        tracker.start()
+        sim.sim.run(until=40.0)
+        (job,) = tracker.active_jobs
+        assert not job.pending_maps() and job.running_maps()
+        # no backup yet; from now on every idle slot may offer one
+        tracker.config = dataclasses.replace(tracker.config, speculative=True)
+        straggler = next(
+            m for m in job.running_maps() if m.node.name == "r1n2"
+        )
+        node = next(
+            n for n in sim.cluster.nodes
+            if n.free_map_slots > 0 and n.free_reduce_slots > 0
+            and all(a.node is not n for a in straggler.attempts)
+        )
+        # with the node's map slots taken, its idle reduce slots back up
+        # nothing
+        spare = node.map_slots
+        node.map_slots = node.running_maps
+        tracker.on_heartbeat(node)
+        assert tracker.collector.speculative_launched == 0
+        node.map_slots = spare
+        tracker.on_heartbeat(node)
+        assert tracker.collector.speculative_launched == 1
+
+    @pytest.mark.parametrize("assign_multiple, launched", [(False, 1), (True, 2)])
+    def test_assign_multiple_fills_every_free_reduce_slot(
+        self, assign_multiple, launched
+    ):
+        sim = make_sim(
+            jobs=[JobSpec.make("01", "grep", 6 * 64 * MB, 6, 12)],
+            config=EngineConfig(
+                trace=True, slowstart=0.0, assign_multiple=assign_multiple
+            ),
+        )
+        tracker = sim.tracker
+        tracker.start()
+        sim.sim.run(until=0.0)
+        node = sim.cluster.nodes[0]
+        assigns = [
+            ev for ev in tracker.recorder.events
+            if ev.type == "assign" and ev.kind == "reduce"
+            and ev.node == node.name
+        ]
+        assert len(assigns) == launched
+        assert node.free_reduce_slots == 2 - launched

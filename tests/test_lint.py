@@ -315,7 +315,6 @@ class TestUnknownReason:
     def test_vocabulary_literals_pass(self):
         src = (
             'ctx.note_decline("below_pmin")\n'
-            'collector.offer_declined("map", "blacklisted")\n'
             'Decline(t=0.0, node="n", kind="map", reason="node_dead", job_id="")\n'
             'job.fail("attempts_exhausted")\n'
             'NodeDown(t=0.0, node="n", reason="expired", killed_attempts=0, '
@@ -327,10 +326,6 @@ class TestUnknownReason:
         fs = run_reasons('ctx.note_decline("below_pmim")\n')
         assert at(fs) == [("vocab-unknown", 1, 18)]
         assert "DECLINE_REASONS" in fs[0].message
-
-    def test_offer_declined_positional_reason_checked(self):
-        fs = run_reasons('collector.offer_declined("map", "blacklistd")\n')
-        assert at(fs) == [("vocab-unknown", 1, 33)]
 
     def test_event_keyword_reasons_checked(self):
         src = (

@@ -167,7 +167,7 @@ class TestSlotViews:
 
     def test_view_matches_list_api(self):
         cluster = self.make_cluster()
-        nodes, idx, pos = cluster.free_map_slot_view()
+        nodes, idx, pos = cluster.free_slot_view("map")
         assert list(nodes) == cluster.nodes_with_free_map_slots()
         assert [cluster.nodes[i].name for i in idx] == [n.name for n in nodes]
         for row, i in enumerate(idx):
@@ -177,10 +177,10 @@ class TestSlotViews:
 
     def test_slot_transition_invalidates_view(self):
         cluster = self.make_cluster()
-        _, idx_before, _ = cluster.free_map_slot_view()
+        _, idx_before, _ = cluster.free_slot_view("map")
         node = cluster.nodes[0]
         node.running_maps = node.map_slots  # fills the node: no free slot
-        _, idx_after, pos_after = cluster.free_map_slot_view()
+        _, idx_after, pos_after = cluster.free_slot_view("map")
         assert node.index in idx_before
         assert node.index not in idx_after
         assert pos_after[node.index] == -1
@@ -188,9 +188,9 @@ class TestSlotViews:
     def test_alive_toggle_invalidates_view(self):
         cluster = self.make_cluster()
         node = cluster.nodes[0]
-        assert node.index in cluster.free_reduce_slot_view()[1]
+        assert node.index in cluster.free_slot_view("reduce")[1]
         node.alive = False
-        assert node.index not in cluster.free_reduce_slot_view()[1]
+        assert node.index not in cluster.free_slot_view("reduce")[1]
 
 
 # ---------------------------------------------------------------------------

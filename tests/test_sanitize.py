@@ -66,10 +66,9 @@ def test_netcond_run_shadow_verifies_every_layer(sanitizer):
     # the PR 4 cache layers are all registered...
     for layer in (
         "Cluster.inverse_rate_matrix",
-        "Cluster.free_map_slot_view",
-        "Cluster.free_reduce_slot_view",
-        "Job.pending_maps",
-        "Job.pending_reduces",
+        "Cluster.free_slot_view",
+        "Job.map_views",
+        "Job.reduce_views",
         "JobCostModel._distance_done_matrix",
         "JobCostModel.map_offer_costs",
         "JobCostModel.reduce_offer_costs",
