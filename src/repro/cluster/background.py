@@ -8,7 +8,7 @@ environment: a Poisson process of bulk flows between (optionally hot-spotted)
 node pairs, sized to consume a target fraction of the aggregate edge
 capacity.  With a node-weight skew the load lands unevenly across racks,
 which is precisely the signal the inverse-path-rate distance matrix can see
-and the hop matrix cannot.
+and hop counts cannot.
 
 The generator is driven by the simulation clock and a seeded RNG, so runs
 remain deterministic; it stops issuing new flows once ``should_continue``
@@ -75,16 +75,10 @@ class BackgroundTraffic:
         self.should_continue = should_continue or (lambda: True)
         hosts = network.topology.hosts
         self.hosts = hosts
-        # total edge capacity = sum of host links (first link of each host
-        # route is its access link; use link_capacity of each host's edge)
+        # total edge capacity = sum of host access links, left to right
         total_edge = 0.0
-        for h in hosts:
-            # a host's access link is the first hop toward any other host
-            for other in hosts:
-                if other != h:
-                    route = network.topology.route(h, other)
-                    total_edge += network.topology.link_capacity(route[0])
-                    break
+        for capacity in network.topology.access_link_capacities():
+            total_edge += capacity
         # offered load (bytes/s) to hit the target utilisation
         offered = spec.intensity * total_edge / 2.0  # each flow uses 2 edges
         self.arrival_rate = offered / spec.mean_size  # flows per second

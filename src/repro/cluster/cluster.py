@@ -2,7 +2,7 @@
 
 :class:`Cluster` is the substrate handle the rest of the library works
 against.  It owns the :class:`~repro.cluster.node.Node` objects (one per
-topology host), the hop matrix, and the :class:`~repro.cluster.network
+topology host), the hop counts, and the :class:`~repro.cluster.network
 .FlowNetwork`.  :class:`ClusterSpec` is a declarative description from which
 the canonical experiment clusters are built.
 """
@@ -125,7 +125,8 @@ class Cluster:
         # link-state control plane, attached by the engine when the topology
         # is a linkstate fabric (see repro.cluster.routing)
         self.routing = None
-        self._hops = topology.hop_matrix().astype(np.float64)
+        # built up front: a dense build rejects disconnected hosts here
+        self.hop_costs = self._build_hop_costs()
         # hot-path caches (all behaviour-invisible); under REPRO_NO_CACHE
         # every @cached_on method serves its reference recompute instead
         self._no_cache = caching_disabled()
@@ -155,13 +156,16 @@ class Cluster:
     # ------------------------------------------------------------------
     # distance / network condition views (inputs to the cost model)
     # ------------------------------------------------------------------
-    @property
-    def hop_matrix(self) -> np.ndarray:
-        """Pairwise hop counts between data nodes (float copy-free view)."""
-        return self._hops
-
-    def distance(self, a: str, b: str) -> float:
-        return float(self._hops[self._by_name[a].index, self._by_name[b].index])
+    def _build_hop_costs(self) -> PathCosts:
+        """The hop counts ``h_ab`` of Section II-B-1 as one static view: a
+        tree's up-chain lengths, with no ``k × k`` matrix, else its dense
+        hop matrix."""
+        chains = self.topology.up_chains()
+        if chains is not None:
+            return TreePathCosts.hops(chains)
+        hops = self.topology.hop_matrix().astype(np.float64)
+        hops.setflags(write=False)
+        return DensePathCosts(hops)
 
     def path_costs(self) -> PathCosts:
         """The network-condition distances of Section II-B-3, as a view.
@@ -219,7 +223,7 @@ class Cluster:
             chains = self.topology.up_chains()
             if chains is not None:
                 shares = self.network.link_shares()
-                return TreePathCosts(chains, shares, self._scale)
+                return TreePathCosts.inverse_rates(chains, shares, self._scale)
             return DensePathCosts(
                 self._inverse_rates(self.network.rate_matrix(), self._scale)
             )
@@ -243,15 +247,7 @@ class Cluster:
         """Default normalisation: an idle host-access-link path (inverse
         rate 1/ref) maps to hop count 2, the same-rack distance.  Depends
         only on the static topology."""
-        refs = []
-        hosts = self.topology.hosts
-        for h in hosts:
-            for other in hosts:
-                if other != h:
-                    route = self.topology.route(h, other)
-                    refs.append(self.topology.link_capacity(route[0]))
-                    break
-        return 2.0 * (max(refs) if refs else 1.0)
+        return 2.0 * max(self.topology.access_link_capacities(), default=1.0)
 
     def _inverse_rate_matrix_uncached(
         self, *, view: bool = False

@@ -38,7 +38,7 @@ class Node:
         Rack identifier used for locality classification and for the default
         HDFS replica-placement policy.
     index:
-        Dense integer id assigned by the cluster; indexes the hop matrix.
+        Dense integer id assigned by the cluster; indexes the path-cost views.
     map_slots, reduce_slots:
         Slot capacity (Hadoop-1 style static slots).
     disk_bandwidth:

@@ -16,9 +16,10 @@ measurement plane:
   :meth:`TelemetryMonitor.path_costs`, which degrades *per path*:
   fresh paths use the measured value, stale paths fall back to the
   static hop-count distance (the information that never goes stale).
-  When every path is stale the call returns ``None`` — the exact
-  sentinel the PNA cost model maps to its hop-matrix code path — so a
-  fully-blind monitor reproduces the hop-count scheduler bit for bit.
+  When every path is stale the call returns the cluster's hop view
+  itself (``Cluster.hop_costs``), the very object the hop-count PNA
+  scheduler scores against, so a fully-blind monitor reproduces the
+  hop-count scheduler bit for bit.
 
 Whenever the set of stale paths changes, the monitor emits a
 ``stale_telemetry`` trace event so degradation is observable in traces.
@@ -165,13 +166,13 @@ class TelemetryMonitor:
         np.fill_diagonal(stale, False)
         return stale
 
-    def path_costs(self, now: float) -> Optional[PathCosts]:
+    def path_costs(self, now: float) -> PathCosts:
         """The scheduler-facing view at time ``now``.
 
-        Returns ``None`` when *every* path is stale — the sentinel the
-        cost model maps to its hop-count path — otherwise a dense
-        path-cost view mixing fresh measurements with hop-count fallbacks
-        per stale path.  One view is cached per ``(now, sample round)``.
+        Returns the cluster's hop view (``Cluster.hop_costs``) when
+        *every* path is stale, otherwise a dense path-cost view mixing
+        fresh measurements with hop-count fallbacks per stale path.  One
+        view is cached per ``(now, sample round)``.
         """
         if self.config.period == 0:
             self.sample()
@@ -190,7 +191,7 @@ class TelemetryMonitor:
                     )
                 )
         if stale_count == total:
-            view: Optional[PathCosts] = None
+            view = self.cluster.hop_costs
         elif stale_count == 0:
             # snapshot, never the live ``_inv`` buffer: downstream caches
             # (JobCostModel._distance_done_matrix) key on view *identity*,
@@ -201,7 +202,7 @@ class TelemetryMonitor:
             snapshot.setflags(write=False)
             view = DensePathCosts(snapshot)
         else:
-            mixed = np.where(stale, self.cluster.hop_matrix, self._inv)
+            mixed = np.where(stale, self.cluster.hop_costs.dense(), self._inv)
             np.fill_diagonal(mixed, 0.0)
             mixed.setflags(write=False)
             view = DensePathCosts(mixed)

@@ -153,6 +153,18 @@ class Topology:
         """Host up-chains when every route is the unique tree path, else None."""
         return None
 
+    def access_link_capacities(self) -> List[float]:
+        """Each host's access-link capacity, in host order: the first link
+        of its route to the first other host (none on a single host)."""
+        hosts = self.hosts
+        caps = []
+        for h in hosts:
+            for other in hosts:
+                if other != h:
+                    caps.append(self.link_capacity(self.route(h, other)[0]))
+                    break
+        return caps
+
     @property
     def num_hosts(self) -> int:
         return len(self.hosts)

@@ -20,18 +20,19 @@ scheduling time.
 
 :class:`JobCostModel` evaluates both quantities **vectorised over (node,
 task) grids** — the scheduler needs the whole cost matrix of free nodes ×
-candidate tasks to compute ``C_ave`` in Formulae (4)–(5) — and keeps two
-caches keyed to the *static hop matrix*:
+candidate tasks to compute ``C_ave`` in Formulae (4)–(5).  Both distances
+are :mod:`repro.cluster.pathcost` views read through ``take``: the
+cluster's static hop view (``Cluster.hop_costs``) or the live inverse
+rates of the network-condition variant (Section II-B-3).  Two caches hold
+for the static hop view only:
 
 * the full ``(k, m)`` map-cost matrix (replicas never move), and
 * ``Sc``, the running ``(k, n)`` sum of completed maps' reduce-cost
   contributions (a completed map's ``I_hat`` row is exact and frozen, so its
   outer-product contribution can be folded in once).
 
-When the caller supplies a path-cost view instead — the live inverse
-rates of the network-condition variant (Section II-B-3), see
-:mod:`repro.cluster.pathcost` — both quantities are recomputed against it,
-reading only the entries the formulas need through its ``take``.
+Against a rate view both quantities are recomputed, reading only the
+entries the formulas need.
 """
 
 from __future__ import annotations
@@ -71,10 +72,6 @@ def finite_mean(costs: np.ndarray) -> np.ndarray:
     count = finite.sum(axis=0)
     total = np.where(finite, costs, 0.0).sum(axis=0)
     return np.where(count > 0, total / np.maximum(count, 1), np.inf)
-
-
-#: a distance argument: None (the static hop matrix) or a path-cost view
-Distance = Optional[PathCosts]
 
 
 def map_cost_matrix(
@@ -188,26 +185,26 @@ class JobCostModel:
     for the job — PNA, Coupling's centrality computation, and the greedy
     ablation all share it.
 
-    Every ``distance`` argument takes ``None`` (the static hop matrix, with
-    its incremental caches) or a :class:`~repro.cluster.pathcost.PathCosts`
-    view; wrap a dense ``(k, k)`` matrix in a ``DensePathCosts``.
+    Every ``distance`` argument takes a
+    :class:`~repro.cluster.pathcost.PathCosts` view (wrap a dense ``(k, k)``
+    matrix in a ``DensePathCosts``); ``None`` reads the cluster's static
+    hop view, ``Cluster.hop_costs``, with its incremental caches.
     """
 
     def __init__(self, job: "Job") -> None:
         self.job = job
         cluster = job.tracker.cluster
         namenode = job.tracker.namenode
-        self._hops = cluster.hop_matrix
-        self._hop_view = DensePathCosts(self._hops)
+        self._hops = cluster.hop_costs
         self._k = cluster.num_nodes
-        self._all_rows = np.arange(self._k)[:, None]
+        self._all_nodes = np.arange(self._k)
         self._m = job.num_maps
         self._n = job.num_reduces
         self._B = np.array([b.size for b in job.file.blocks], dtype=np.float64)
         self._replicas: List[np.ndarray] = [
             namenode.replica_indices(b) for b in job.file.blocks
         ]
-        # caches keyed to the static hop matrix
+        # caches for the static hop view
         self._map_cost_hops: Optional[np.ndarray] = None
         self._Sc = np.zeros((self._k, self._n), dtype=np.float64)
         self._no_cache = caching_disabled()
@@ -234,14 +231,16 @@ class JobCostModel:
 
     def _on_map_done(self, task: "MapTask") -> None:
         """Fold a completed map's exact contribution into the ``Sc`` cache."""
-        p = task.node.index
-        self._Sc += np.outer(self._hops[p, :], self.job.I[task.index, :])
+        self._Sc += self._hop_contribution(task)
 
     def _on_map_lost(self, task: "MapTask") -> None:
         """Unfold a lost map's contribution: its output died with its node
         and the re-execution will fold a fresh placement back in."""
-        p = task.node.index
-        self._Sc -= np.outer(self._hops[p, :], self.job.I[task.index, :])
+        self._Sc -= self._hop_contribution(task)
+
+    def _hop_contribution(self, task: "MapTask") -> np.ndarray:
+        hops = self._hops.take(task.node.index, self._all_nodes)
+        return np.outer(hops, self.job.I[task.index, :])
 
     # ------------------------------------------------------------------
     # Formula (1)
@@ -250,25 +249,26 @@ class JobCostModel:
         self,
         node_indices: np.ndarray,
         task_indices: np.ndarray,
-        distance: Distance = None,
+        distance: Optional[PathCosts] = None,
     ) -> np.ndarray:
         """Cost matrix for placing each candidate map on each node.
 
-        ``distance=None`` uses the static hop matrix (cached); a path-cost
+        The static hop view is cached as one full ``(k, m)`` matrix; a rate
         view is read at the candidate nodes × replica holders only.
         """
+        paths = self._hops if distance is None else distance
         node_indices = np.asarray(node_indices, dtype=np.int64)
         task_indices = np.asarray(task_indices, dtype=np.int64)
-        if distance is None:
+        if paths is self._hops:
             if self._map_cost_hops is None:
-                self._map_cost_hops = map_cost_matrix(
-                    self._hops, self._B, self._replicas
+                self._map_cost_hops = _nearest_replica_costs(
+                    paths, self._all_nodes, self._B, self._replicas
                 )
             return self._map_cost_hops[np.ix_(node_indices, task_indices)]
         # each output element is the same min/multiply over the same
         # floats as building all k rows and row-subsetting: same bytes
         return _nearest_replica_costs(
-            distance,
+            paths,
             node_indices,
             self._B[task_indices],
             [self._replicas[j] for j in task_indices],
@@ -283,14 +283,14 @@ class JobCostModel:
         reduce_indices: np.ndarray,
         now: float,
         estimator: Optional[IntermediateEstimator] = None,
-        distance: Distance = None,
+        distance: Optional[PathCosts] = None,
     ) -> np.ndarray:
         """Estimated cost matrix for placing each candidate reduce on each node.
 
         Sums contributions from every *started* map: completed maps count
         their exact output, running maps the estimator's ``I_hat`` row.
-        With the default hop matrix the completed part comes from the
-        incremental ``Sc`` cache; a path-cost view recomputes everything.
+        Against the static hop view the completed part comes from the
+        incremental ``Sc`` cache; a rate view recomputes it once per view.
         """
         prof = _obs_profile.ACTIVE
         if prof is not None:
@@ -299,19 +299,18 @@ class JobCostModel:
             node_indices = np.asarray(node_indices, dtype=np.int64)
             reduce_indices = np.asarray(reduce_indices, dtype=np.int64)
             est = estimator if estimator is not None else ProgressEstimator()
+            paths = self._hops if distance is None else distance
 
             views = self.job.map_views()
             running = views.running
-            if distance is None:
+            if paths is self._hops:
                 base = self._Sc[np.ix_(node_indices, reduce_indices)]
-                paths = self._hop_view
             else:
                 # the completed-map part is a gather from the full (k, n)
                 # contribution matrix — the netcond analogue of ``Sc`` —
                 # so consecutive offers against one view pay for the
                 # matmul once
-                paths = distance
-                done = self._distance_done_matrix(distance)
+                done = self._distance_done_matrix(paths)
                 base = done[np.ix_(node_indices, reduce_indices)]
 
             if running:
@@ -371,7 +370,7 @@ class JobCostModel:
         # column-major as the ``d[:, p]`` gather of a dense matrix is: one
         # (k, m') @ (m', n) matmul shape and layout, so BLAS runs the same
         # kernel and gives the same bytes
-        cols = np.asfortranarray(paths.take(self._all_rows, p[None]))
+        cols = np.asfortranarray(paths.take(self._all_nodes[:, None], p[None]))
         return _inf_safe_matmul(cols, self.job.I[idx, :])
 
     def realised_reduce_costs(
@@ -396,7 +395,8 @@ class JobCostModel:
             p = np.array([m.node.index for m in running], dtype=np.int64)
             idx = np.array([m.index for m in running], dtype=np.int64)
             rows = self.job.I[np.ix_(idx, reduce_indices)]
-            base = base + self._hops[np.ix_(node_indices, p)] @ rows
+            d = self._hops.take(node_indices[:, None], p[None])
+            base = base + d @ rows
         return base
 
     # ------------------------------------------------------------------
@@ -426,7 +426,7 @@ class JobCostModel:
         row: int,
         node_indices: np.ndarray,
         task_indices: np.ndarray,
-        distance: Distance = None,
+        distance: Optional[PathCosts] = None,
     ) -> tuple:
         """``(C_here, C_ave)`` for a map offer from free-view row ``row``.
 
@@ -454,7 +454,7 @@ class JobCostModel:
         row: int,
         node_indices: np.ndarray,
         task_indices: np.ndarray,
-        distance: Distance = None,
+        distance: Optional[PathCosts] = None,
     ) -> tuple:
         """Reference recompute behind :meth:`map_offer_costs`: evaluate the
         whole cost matrix for this one offer, exactly as a cache miss."""
@@ -488,7 +488,7 @@ class JobCostModel:
         reduce_indices: np.ndarray,
         now: float,
         estimator: Optional[IntermediateEstimator] = None,
-        distance: Distance = None,
+        distance: Optional[PathCosts] = None,
     ) -> tuple:
         """``(C_here, C_ave)`` for a reduce offer from free-view row ``row``.
 
@@ -526,7 +526,7 @@ class JobCostModel:
         reduce_indices: np.ndarray,
         now: float,
         estimator: Optional[IntermediateEstimator] = None,
-        distance: Distance = None,
+        distance: Optional[PathCosts] = None,
     ) -> tuple:
         """Reference recompute behind :meth:`reduce_offer_costs`."""
         costs = self.reduce_costs(

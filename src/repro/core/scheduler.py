@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional, Union
 
 import numpy as np
 
-from repro.core.cost import Distance, JobCostModel
+from repro.core.cost import JobCostModel
 from repro.core.estimator import IntermediateEstimator, ProgressEstimator
 from repro.core.probability import ExponentialModel, ProbabilityModel
 from repro.schedulers.base import SchedulerContext, TaskScheduler
@@ -37,6 +37,7 @@ from repro.trace.events import BELOW_PMIN, BERNOULLI_MISS, COLOCATION_VETO
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
+    from repro.cluster.pathcost import PathCosts
     from repro.engine.job import Job
     from repro.engine.task import MapTask, ReduceTask
 
@@ -105,17 +106,17 @@ class ProbabilisticNetworkAwareScheduler(TaskScheduler):
     def cost_model(self, job: "Job") -> JobCostModel:
         return self._models[job.spec.job_id]
 
-    def _distance(self, ctx: SchedulerContext) -> Distance:
-        """None selects the cached hop matrix; otherwise live inverse rates
-        (the cluster's per-epoch path-cost view).
+    def _distance(self, ctx: SchedulerContext) -> "PathCosts":
+        """The cluster's static hop view, or with ``network_condition`` the
+        live inverse rates (the cluster's per-epoch path-cost view).
 
         With a telemetry monitor attached the scheduler sees the
         measurement plane's possibly stale/noisy view (per-path hop-count
         fallback included) instead of oracle truth; the monitor itself
-        returns None once every path is stale.
+        returns the hop view once every path is stale.
         """
         if not self.config.network_condition:
-            return None
+            return ctx.cluster.hop_costs
         monitor = ctx.telemetry
         if monitor is not None:
             return monitor.path_costs(ctx.now)

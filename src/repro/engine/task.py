@@ -617,15 +617,14 @@ class ReduceTask:
             if self.job.I[m.index, self.index] > 0 and m.node is not None
         ]
         locality = _classify_locality(self.node, feeders, tracker.cluster)
-        hops = tracker.cluster.hop_matrix
-        i = self.node.index
-        cost = float(
-            sum(
-                self.job.I[m.index, self.index] * hops[m.node.index, i]
-                for m in self.job.maps
-                if m.node is not None
-            )
+        placed = [m for m in self.job.maps if m.node is not None]
+        hops = tracker.cluster.hop_costs.take(
+            np.fromiter((m.node.index for m in placed), np.int64, len(placed)),
+            self.node.index,
         )
+        # a left-to-right Python sum, not a dot product: a fixed rounding order
+        f = self.index
+        cost = float(sum(self.job.I[m.index, f] * h for m, h in zip(placed, hops)))
         tracker.collector.task_completed(
             TaskRecord(
                 job_id=self.job.spec.job_id,

@@ -18,7 +18,7 @@ scores offers against that ingest layout even if repair later moves copies
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -193,11 +193,11 @@ class NameNode:
 
     def replica_indices(self, block: Block) -> np.ndarray:
         """Host indices of the block's replicas (for matrix lookups)."""
-        return np.fromiter(
-            (self.cluster.node(n).index for n in block.replicas),
-            dtype=np.int64,
-            count=len(block.replicas),
-        )
+        return self._indices(block.replicas)
+
+    def _indices(self, names: Sequence[str]) -> np.ndarray:
+        node = self.cluster.node
+        return np.fromiter((node(n).index for n in names), np.int64, len(names))
 
     def is_local(self, block: Block, node_name: str) -> bool:
         return node_name in block.replicas
@@ -207,6 +207,20 @@ class NameNode:
         rack = self.cluster.node(node_name).rack
         return any(self.cluster.node(r).rack == rack for r in block.replicas)
 
+    def nearest(
+        self, node_name: str, holders: Sequence[str]
+    ) -> Optional[Tuple[str, float]]:
+        """``(holder, hops)`` for the holder fewest hops from ``node_name``,
+        or None when ``holders`` is empty.  Ties go to the first holder in
+        the given order."""
+        if not holders:
+            return None
+        hops = self.cluster.hop_costs.take(
+            self.cluster.node(node_name).index, self._indices(holders)
+        )
+        best = int(np.argmin(hops))
+        return holders[best], float(hops[best])
+
     def closest_replica(self, block: Block, node_name: str) -> Tuple[str, float]:
         """Replica with minimum hop distance from ``node_name``.
 
@@ -214,16 +228,7 @@ class NameNode:
         which is deterministic.  This realises the ``min over L_lj = 1`` term
         of Formula (1).
         """
-        hops = self.cluster.hop_matrix
-        i = self.cluster.node(node_name).index
-        best_node = block.replicas[0]
-        best_h = hops[i, self.cluster.node(best_node).index]
-        for r in block.replicas[1:]:
-            h = hops[i, self.cluster.node(r).index]
-            if h < best_h:
-                best_h = h
-                best_node = r
-        return best_node, float(best_h)
+        return self.nearest(node_name, block.replicas)
 
     def closest_live_replica(
         self, block: Block, node_name: str
@@ -236,23 +241,12 @@ class NameNode:
         rejoin or a failed link to heal.  With every node alive and the
         fabric healthy this returns exactly :meth:`closest_replica`.
         """
-        hops = self.cluster.hop_matrix
         network = self.cluster.network
-        i = self.cluster.node(node_name).index
-        best_node: Optional[str] = None
-        best_h = float("inf")
-        for r in block.replicas:
-            if not self.cluster.node(r).alive:
-                continue
-            if network.pair_blocked(r, node_name):
-                continue  # replica alive but behind a failed link/switch
-            h = float(hops[i, self.cluster.node(r).index])
-            if h < best_h:
-                best_h = h
-                best_node = r
-        if best_node is None:
-            return None
-        return best_node, best_h
+        # a live replica may still sit behind a failed link/switch
+        return self.nearest(node_name, [
+            r for r in self.live_replicas(block)
+            if not network.pair_blocked(r, node_name)
+        ])
 
     def live_replicas(self, block: Block) -> Tuple[str, ...]:
         """Replica holders that are currently alive (readable copies)."""

@@ -399,9 +399,7 @@ class ReplicationMonitor:
         network = self.cluster.network
         isolated = network.isolated_hosts()
         sources = [
-            r
-            for r in block.replicas
-            if self.cluster.node(r).alive and r not in isolated
+            r for r in self.namenode.live_replicas(block) if r not in isolated
         ]
         if not sources:
             return None
@@ -417,20 +415,12 @@ class ReplicationMonitor:
         )
         if dst is None:
             return None
-        hops = self.cluster.hop_matrix
-        j = self.cluster.node(dst).index
-        best: Optional[str] = None
-        best_h = float("inf")
-        for r in sources:
-            if network.pair_blocked(r, dst):
-                continue
-            h = float(hops[self.cluster.node(r).index, j])
-            if h < best_h:
-                best_h = h
-                best = r
-        if best is None:
+        nearest = self.namenode.nearest(
+            dst, [r for r in sources if not network.pair_blocked(r, dst)]
+        )
+        if nearest is None:
             return None
-        return best, dst
+        return nearest[0], dst
 
     def _schedule_repairs(self) -> None:
         free = self.config.max_repairs - len(self._active)

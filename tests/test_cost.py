@@ -144,7 +144,6 @@ class TestJobCostModel:
         sim.sim.run(until=0.01)
         job = sim.tracker.active_jobs[0]
         model = JobCostModel(job)
-        hops = sim.cluster.hop_matrix
         nn = sim.tracker.namenode
         costs = model.map_costs(
             np.arange(sim.cluster.num_nodes), np.arange(job.num_maps)
@@ -176,7 +175,7 @@ class TestJobCostModel:
         fast = model.reduce_costs(nodes, reduces, now, estimator=est)
 
         # brute force over started maps
-        hops = sim.cluster.hop_matrix
+        hops = sim.cluster.hop_costs.dense()
         expected = np.zeros((len(nodes), len(reduces)))
         for m in job.maps:
             if m.node is None:
@@ -198,7 +197,8 @@ class TestJobCostModel:
         # doubling the distance matrix doubles every cost
         base = model.reduce_costs(nodes, reduces, sim.sim.now)
         doubled = model.reduce_costs(
-            nodes, reduces, sim.sim.now, distance=DensePathCosts(2.0 * sim.cluster.hop_matrix)
+            nodes, reduces, sim.sim.now,
+            distance=DensePathCosts(2.0 * sim.cluster.hop_costs.dense()),
         )
         assert np.allclose(doubled, 2 * base)
 

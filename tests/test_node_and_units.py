@@ -113,10 +113,11 @@ class TestClusterSpec:
     def test_hop_matrix_view(self):
         sim = Simulator()
         cluster = ClusterSpec(num_racks=2, nodes_per_rack=2).build(sim)
-        h = cluster.hop_matrix
+        h = cluster.hop_costs.dense()
         assert h.shape == (4, 4)
-        assert cluster.distance("r0n0", "r0n1") == 2.0
-        assert cluster.distance("r0n0", "r1n0") == 4.0
+        a, b, c = (cluster.node(n).index for n in ("r0n0", "r0n1", "r1n0"))
+        assert cluster.hop_costs.take(a, b) == 2.0
+        assert cluster.hop_costs.take(a, c) == 4.0
 
     def test_inverse_rate_matrix_idle(self):
         sim = Simulator()

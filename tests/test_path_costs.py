@@ -1,4 +1,4 @@
-"""Path-cost views: the tree fast path against the per-pair reference.
+"""Path-cost views: the tree fast paths against their references.
 
 ``Cluster.path_costs`` serves a tree topology from static host up-chains
 and a per-epoch prefix-min of link shares (``TreePathCosts``), with no
@@ -8,6 +8,11 @@ gather-min (``DensePathCosts``).  The tree view must equal the per-pair
 by a failed link — on random trees under random load, capacity factors
 and link failures, and the cost model must return the same bytes whether
 it reads the view or its dense matrix.
+
+``Cluster.hop_costs`` is the same split for hop counts: up-chain lengths
+on a tree, with no ``k × k`` hop matrix, and a dense view of
+``hop_matrix()`` elsewhere.  The tree view must equal the BFS hop matrix
+bit for bit.
 """
 
 from __future__ import annotations
@@ -20,12 +25,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import Cluster
+from repro.cluster import Cluster, ClusterSpec
 from repro.cluster.pathcost import DensePathCosts, TreePathCosts
 from repro.cluster.topology import GraphTopology, Topology, rack_topology
-from repro.core import JobCostModel
+from repro.core import JobCostModel, ProbabilisticNetworkAwareScheduler
 from repro.engine import Simulation
-from repro.schedulers import RandomScheduler
+from repro.schedulers import FairScheduler, RandomScheduler
 from repro.sim import Simulator
 from repro.units import MB, Gbps
 from repro.workload import JobSpec
@@ -34,10 +39,12 @@ CAPACITIES = np.array([1.0, 2.5, 10.0, 40.0]) * Gbps
 
 
 @st.composite
-def trees(draw):
+def trees(draw, internal_hosts=False):
     """A random switch tree, 1-4 switch levels deep, with hosts hanging at
     varying depths and random link capacities.  The shape comes from a
-    drawn seed, so draws spread evenly over shapes."""
+    drawn seed, so draws spread evenly over shapes.  ``internal_hosts``
+    also turns some switches, the root included, into hosts with
+    vertices below them."""
     depth = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     g = nx.Graph()
@@ -62,6 +69,11 @@ def trees(draw):
                 attach(node, child, "host")
 
     grow("s", 0)
+    if internal_hosts:
+        for v in list(g):
+            if g.nodes[v]["kind"] == "switch" and rng.random() < 0.3:
+                g.nodes[v].update(kind="host", rack=v)
+                hosts.append(v)
     while len(hosts) < 4:
         attach("s", f"s.h{len(hosts)}", "host")
     return GraphTopology(g)
@@ -166,22 +178,68 @@ def test_families_get_the_right_view(family_topology, tensor_builds):
     cluster.network.start_flow(hosts[0], hosts[-1], 1e6 * MB)
     view = cluster.path_costs()
     graph = getattr(topo, "graph", None)
-    if graph is not None and nx.is_tree(graph):
-        assert isinstance(view, TreePathCosts)
-        assert tensor_builds == []
-    else:
-        assert isinstance(view, DensePathCosts)
-        assert tensor_builds
+    view_class = (
+        TreePathCosts
+        if graph is not None and nx.is_tree(graph)
+        else DensePathCosts
+    )
+    assert isinstance(view, view_class)
+    assert isinstance(cluster.hop_costs, view_class)
+    assert (tensor_builds == []) == (view_class is TreePathCosts)
     reference = cluster._inverse_rate_matrix_uncached()
     assert view.dense().tobytes() == reference.tobytes()
     assert cluster.inverse_rate_matrix() is view.dense()
+    hops = topo.hop_matrix().astype(np.float64)
+    assert cluster.hop_costs.dense().tobytes() == hops.tobytes()
 
 
-def test_tree_read_stays_below_one_dense_matrix(monkeypatch):
-    """Building the view on 1,000 hosts and reading 8 free nodes x 3
-    replicas allocates less than one dense k x k float64 matrix."""
+@settings(max_examples=30, deadline=None)
+@given(topo=trees(internal_hosts=True))
+def test_tree_hop_view_matches_hop_matrix(topo):
+    view = Cluster(Simulator(), topo).hop_costs
+    assert isinstance(view, TreePathCosts)
+    hops = topo.hop_matrix().astype(np.float64)
+    assert view.dense().tobytes() == hops.tobytes()
+    # a row read, as the cost model's Sc update and HDFS reads make it
+    k = topo.num_hosts
+    assert view.take(k - 1, np.arange(k)).tobytes() == hops[k - 1].tobytes()
+
+
+@pytest.fixture
+def no_hop_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense hop matrix built on a tree")
+
+    monkeypatch.setattr(GraphTopology, "hop_matrix", refuse)
+
+
+@pytest.mark.parametrize(
+    "scheduler", [ProbabilisticNetworkAwareScheduler, FairScheduler]
+)
+def test_tree_runs_never_build_the_hop_matrix(no_hop_matrix, scheduler):
+    """Hop-mode PNA (Formulas 1-3), HDFS replica reads and reduce-cost
+    accounting on a tree all read the up-chain hop view."""
+    sim = Simulation(
+        cluster=ClusterSpec(num_racks=2, nodes_per_rack=4),
+        scheduler=scheduler(),
+        jobs=[
+            JobSpec.make(f"{i:02d}", "wordcount", 6 * 64 * MB, 6, 2)
+            for i in range(1, 3)
+        ],
+        seed=5,
+    )
+    collector = sim.run().collector
+    assert isinstance(sim.cluster.hop_costs, TreePathCosts)
+    assert len(collector.job_records) == 2
+    reduces = [t for t in collector.task_records if t.kind == "reduce"]
+    assert len(reduces) == 4 and any(t.cost > 0 for t in reduces)
+
+
+def test_tree_read_stays_below_one_dense_matrix(monkeypatch, no_hop_matrix):
+    """Building the cluster with its hop view and the rate view on 1,000
+    hosts and reading 8 free nodes x 3 replicas from each allocates less
+    than one dense k x k float64 matrix."""
     topo = rack_topology(25, 40)
-    cluster = Cluster(Simulator(), topo)
     k = topo.num_hosts
 
     def no_tensor(self):
@@ -193,10 +251,13 @@ def test_tree_read_stays_below_one_dense_matrix(monkeypatch):
     replicas = np.array([[3, 450, 998]])
     tracemalloc.start()
     try:
+        cluster = Cluster(Simulator(), topo)
+        hops = cluster.hop_costs.take(free[:, None, None], replicas[None])
         view = cluster.path_costs()
         costs = view.take(free[:, None, None], replicas[None])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert costs.shape == (8, 1, 3)
+    assert costs.shape == hops.shape == (8, 1, 3)
+    assert set(hops.ravel()) <= {2.0, 4.0}
     assert peak < k * k * 8, f"peak {peak} B"

@@ -1,8 +1,8 @@
 """Telemetry monitor tests: degraded measurement plane for PNA netcond.
 
 Unit half: ``TelemetryConfig`` validation and ``TelemetryMonitor``
-mechanics (sampling, per-path staleness, hop fallback, the all-stale
-``None`` sentinel, the ``stale_telemetry`` trace event).  Acceptance
+mechanics (sampling, per-path staleness, hop fallback, the cluster's hop
+view when all paths are stale, the ``stale_telemetry`` trace event).  Acceptance
 half — the two byte-identity bounds the design hinges on:
 
 * ``period=inf`` (a monitor that never samples) degrades the
@@ -79,8 +79,8 @@ def make_monitor(config, seed=0):
 
 class TestMonitorMechanics:
     def test_unsampled_monitor_is_fully_blind(self):
-        _, _, mon = make_monitor(TelemetryConfig(period=5.0))
-        assert mon.path_costs(0.0) is None
+        _, cluster, mon = make_monitor(TelemetryConfig(period=5.0))
+        assert mon.path_costs(0.0) is cluster.hop_costs
         assert mon.samples_taken == 0
 
     def test_fresh_sample_matches_oracle_exactly(self):
@@ -96,12 +96,14 @@ class TestMonitorMechanics:
         np.testing.assert_array_equal(view, cluster.inverse_rate_matrix())
 
     def test_everything_goes_stale_past_the_budget(self):
-        _, _, mon = make_monitor(
+        _, cluster, mon = make_monitor(
             TelemetryConfig(period=5.0, staleness_budget=15.0)
         )
         mon.sample()  # at t=0
-        assert mon.path_costs(15.0) is not None  # == budget: still fresh
-        assert mon.path_costs(15.1) is None      # > budget: blind
+        # == budget: still fresh
+        assert mon.path_costs(15.0) is not cluster.hop_costs
+        # > budget: blind
+        assert mon.path_costs(15.1) is cluster.hop_costs
 
     def test_partial_staleness_mixes_hops_and_measurements(self):
         _, cluster, mon = make_monitor(
@@ -114,7 +116,7 @@ class TestMonitorMechanics:
         stale = mon.stale_mask(12.0)  # t=0 measurements are now stale
         assert 0 < stale.sum() < stale.size - stale.shape[0]
         view = mon.path_costs(12.0).dense()
-        hops = cluster.hop_matrix
+        hops = cluster.hop_costs.dense()
         oracle = cluster.inverse_rate_matrix()
         np.testing.assert_array_equal(view[stale], hops[stale])
         fresh = ~stale
