@@ -19,7 +19,7 @@ event queue drains naturally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -83,7 +83,17 @@ class BackgroundTraffic:
         offered = spec.intensity * total_edge / 2.0  # each flow uses 2 edges
         self.arrival_rate = offered / spec.mean_size  # flows per second
         w = np.arange(1, len(hosts) + 1, dtype=np.float64) ** (-spec.hotspot_alpha)
+        nonzero = int(np.count_nonzero(w))
+        if nonzero < 2:
+            raise ValueError(
+                f"hotspot_alpha={spec.hotspot_alpha} leaves {nonzero} "
+                f"non-zero endpoint weight(s) over {len(hosts)} host(s); "
+                "a background flow needs two distinct endpoints"
+            )
         self.weights = w / w.sum()
+        cdf = np.cumsum(self.weights)
+        cdf /= cdf[-1]
+        self._cdf = cdf
         self.flows_issued = 0
         self.bytes_issued = 0.0
         self._running = False
@@ -108,10 +118,29 @@ class BackgroundTraffic:
         if not self._running or not self.should_continue():
             self._running = False
             return
-        n = len(self.hosts)
-        src, dst = self.rng.choice(n, size=2, replace=False, p=self.weights)
+        src, dst = self._endpoints()
         size = float(self.rng.exponential(self.spec.mean_size))
         self.network.start_flow(self.hosts[src], self.hosts[dst], size)
         self.flows_issued += 1
         self.bytes_issued += size
         self._schedule_next()
+
+    def _endpoints(self) -> Tuple[int, int]:
+        """Two distinct host indices, drawn exactly as
+        ``rng.choice(n, 2, replace=False, p=self.weights)`` draws them.
+
+        numpy rebuilds the weights' CDF on every call; the first draw reads
+        the one built in ``__init__``.  Only when both uniforms land on the
+        same host does numpy redraw once, from the weights with that host
+        zeroed, which is rebuilt here the same way.
+        """
+        src, dst = self._cdf.searchsorted(
+            self.rng.random(2), side="right"
+        ).tolist()
+        if src == dst:
+            p = self.weights.copy()
+            p[src] = 0.0
+            cdf = np.cumsum(p)
+            cdf /= cdf[-1]
+            dst = int(cdf.searchsorted(self.rng.random(1), side="right")[0])
+        return src, dst

@@ -31,15 +31,18 @@ Path selection is deterministic: a pair's candidates are its equal-cost
 shortest paths sorted by node-name sequence, and ECMP picks number
 ``crc32(f"{src}|{dst}|{fid}") % n`` — a pure function of the (seeded) flow
 id, so same-seed runs stay byte-identical.  The list is never enumerated
-to pick one path.  One BFS per destination and routing version records each
-node's distance and shortest-path count toward ``dst`` over a name-sorted
-adjacency; path ``h`` is *unranked* by walking from ``src``, trying the
-one-hop-closer neighbours in name order and subtracting each one's count
-until ``h`` fits.  That is exactly entry ``h`` of networkx's full
-shortest-path enumeration sorted, with ``n = count[src]``, at O(hops ×
-degree) per flow after the BFS.  The records and the adjacency are nominal
-and kept for good under ``static``/``ecmp``, and dropped on every routing
-change under ``linkstate``.
+to pick one path.  A BFS records each node's distance and shortest-path
+count toward ``dst`` over a name-sorted adjacency; path ``h`` is *unranked*
+by walking from ``src``, trying the one-hop-closer neighbours in name order
+and subtracting each one's count until ``h`` fits.  That is exactly entry
+``h`` of networkx's full shortest-path enumeration sorted, with
+``n = count[src]``, at O(hops × degree) per flow after the BFS.  A ``dst``
+with one live neighbour — a host on its edge switch — shares that
+neighbour's record, whose counts are its own, so there is one BFS per
+attachment switch (plus one per multi-homed destination) and routing
+version.  The records and the adjacency are nominal and kept for good
+under ``static``/``ecmp``, and dropped on every routing change under
+``linkstate``.
 
 Known wart: a pair's order follows whichever direction was queried first
 (since the last routing change, under ``linkstate``), and the other
@@ -105,12 +108,15 @@ class FabricTopology(GraphTopology):
         self.route_version = 0
         self.down_links: Set[LinkKey] = set()
         self._live: Optional[nx.Graph] = None
-        # name-sorted adjacency of the routing graph and, per destination,
+        # name-sorted adjacency of the routing graph and, per BFS root (a
+        # destination, or the one live neighbour of a single-homed one),
         # (distance, shortest-path count) toward it.  Nominal and kept for
         # good under ``static``/``ecmp``; dropped on every routing-table
         # change under ``linkstate``, with the orientation memo.
         self._adj: Optional[Dict[str, List[str]]] = None
         self._toward: Dict[str, Tuple[Dict[str, int], Dict[str, int]]] = {}
+        #: BFS records built so far (a work counter; never reset)
+        self.bfs_runs = 0
         # the first-queried (src, dst) orientation of each unordered pair
         self._first: Set[Tuple[str, str]] = set()
         # last advertised route per pair — the partitioned sentinel.
@@ -174,18 +180,29 @@ class FabricTopology(GraphTopology):
         return n * (n - 1) // 2 - connected
 
     # -- routing --------------------------------------------------------
-    def _counts(self, dst: str) -> Tuple[Dict[str, int], Dict[str, int]]:
-        """BFS distance and shortest-path count of each node toward ``dst``."""
-        rec = self._toward.get(dst)
+    def _record(self, dst: str) -> Tuple[str, Dict[str, int], Dict[str, int]]:
+        """``(root, dist, count)``: BFS distance and shortest-path count of
+        each node toward ``root``, which stands in for ``dst``.
+
+        A ``dst`` with exactly one live neighbour ``e`` (a host on its
+        attachment switch) is reached only through ``e``, so for every
+        other node ``v``, ``dist_dst(v) = dist_e(v) + 1`` and
+        ``count_dst(v) = count_e(v)``: ``root`` is ``e``, whose record
+        every host on it shares.  Any other ``dst`` is its own root.
+        """
+        adj = self._adj
+        if adj is None:
+            live = self.routing == "linkstate"
+            g = self.live_graph if live else self.graph
+            adj = self._adj = {u: sorted(g[u]) for u in g}
+        nbrs = adj[dst]
+        root = nbrs[0] if len(nbrs) == 1 else dst
+        rec = self._toward.get(root)
         if rec is None:
-            adj = self._adj
-            if adj is None:
-                live = self.routing == "linkstate"
-                g = self.live_graph if live else self.graph
-                adj = self._adj = {u: sorted(g[u]) for u in g}
-            dist = {dst: 0}
-            count = {dst: 1}
-            queue = [dst]
+            self.bfs_runs += 1
+            dist = {root: 0}
+            count = {root: 1}
+            queue = [root]
             for u in queue:
                 du = dist[u] + 1
                 cu = count[u]
@@ -197,8 +214,8 @@ class FabricTopology(GraphTopology):
                         queue.append(v)
                     elif dv == du:
                         count[v] += cu
-            rec = self._toward[dst] = (dist, count)
-        return rec
+            rec = self._toward[root] = (dist, count)
+        return (root, *rec)
 
     def _oriented(self, src: str, dst: str) -> Tuple[str, str, int]:
         """The pair's ranking orientation ``(a, b)`` and its path count.
@@ -213,16 +230,17 @@ class FabricTopology(GraphTopology):
             src, dst = dst, src
         else:
             self._first.add((src, dst))
-        return src, dst, self._counts(dst)[1].get(src, 0)
+        return src, dst, self._record(dst)[2].get(src, 0)
 
     def _unrank(self, a: str, b: str, h: int, src: str) -> List[LinkKey]:
         """Path ``h`` of the sorted ``a → b`` equal-cost list, from ``src``.
 
         At each hop take the first name-ordered neighbour one hop closer to
         ``b`` whose path count exceeds what is left of ``h``, subtracting
-        the counts skipped over.
+        the counts skipped over.  Toward a shared root, the walk ends at
+        the root and the last hop is the root's link to ``b``.
         """
-        dist, count = self._counts(b)
+        root, dist, count = self._record(b)
         adj = self._adj
         path = []
         u = a
@@ -237,6 +255,8 @@ class FabricTopology(GraphTopology):
                     h -= c
             path.append(_canon(u, v))
             u = v
+        if root != b:
+            path.append(_canon(root, b))
         if a != src:
             path.reverse()
         return path

@@ -6,13 +6,13 @@ entry ``h_ab`` is the hop count of the path between data nodes ``a`` and
 transmission rate (Section II-B-3).  This module supplies both:
 
 * :class:`GraphTopology` — a switch/host graph (networkx) with per-link
-  capacities.  Hop counts come from shortest paths; routes are cached and fed
-  to the flow-level network simulator.  A graph whose hosts are not all
-  connected is rejected by :meth:`~GraphTopology.hop_matrix`.  The route
-  tensor behind ``FlowNetwork.rate_matrix`` comes from one BFS per host;
-  a tree graph also offers its static host up-chains
-  (:meth:`~GraphTopology.up_chains`), from which path costs are read
-  without any tensor.
+  capacities.  Hop counts come from shortest paths; routes (read off the
+  up-chains on a tree) are cached and fed to the flow-level network
+  simulator.  A graph whose hosts are not all connected is rejected by
+  :meth:`~GraphTopology.hop_matrix`.  The route tensor behind
+  ``FlowNetwork.rate_matrix`` comes from one BFS per host; a tree graph
+  also offers its static host up-chains (:meth:`~GraphTopology.up_chains`),
+  from which path costs are read without any tensor.
 * :class:`MatrixTopology` — a topology specified directly by a hop matrix,
   as in the paper's 4-node worked example (Figure 2).  Paths are modelled as
   dedicated pipes whose capacity decays with distance.
@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 LinkKey = Tuple[Hashable, Hashable]
+#: per-host ancestor and link-id rows of :class:`UpChains`, and link keys by id
+_TreeWalks = Tuple[List[List[int]], List[List[int]], List[LinkKey]]
 
 
 def _canon(u: Hashable, v: Hashable) -> LinkKey:
@@ -176,9 +178,10 @@ class GraphTopology(Topology):
     Hosts are graph vertices flagged with ``kind='host'`` and a ``rack``
     attribute; everything else is a switch.  Every edge carries a
     ``capacity`` attribute in bytes/s.  Shortest-path routes (hop-count
-    metric) are computed once and cached; ties are broken deterministically
-    by networkx's BFS ordering, which is stable for a fixed construction
-    order.
+    metric) are computed once per pair and cached.  On a tree each is the
+    unique path, read off :meth:`up_chains`; elsewhere it is
+    ``nx.shortest_path``'s answer, whose tie-break is stable for a fixed
+    construction order.
     """
 
     def __init__(self, graph: nx.Graph) -> None:
@@ -197,6 +200,7 @@ class GraphTopology(Topology):
         self._hops: Optional[np.ndarray] = None
         self._chains: Optional[UpChains] = None
         self._chains_known = False
+        self._walks: Optional[_TreeWalks] = None
 
     # -- interface ------------------------------------------------------
     def rack_of(self, host: str) -> str:
@@ -226,12 +230,49 @@ class GraphTopology(Topology):
         key = (src, dst)
         cached = self._routes.get(key)
         if cached is None:
-            path = nx.shortest_path(self.graph, src, dst)
-            cached = [_canon(u, v) for u, v in zip(path[:-1], path[1:])]
+            walks = self._tree_walks()
+            a = self._host_index.get(src)
+            b = self._host_index.get(dst)
+            if walks is None or a is None or b is None:
+                path = nx.shortest_path(self.graph, src, dst)
+                cached = [_canon(u, v) for u, v in zip(path[:-1], path[1:])]
+            else:
+                cached = self._tree_route(walks, a, b)
             self._routes[key] = cached
             # a path is symmetric; cache the reverse too
             self._routes[(dst, src)] = list(reversed(cached))
         return cached
+
+    def _tree_walks(self) -> Optional[_TreeWalks]:
+        """Per-host rows of :meth:`up_chains` as lists, plus the link keys
+        by id; None off trees.  Built once."""
+        if self._walks is None:
+            chains = self.up_chains()
+            if chains is None:
+                return None
+            self._walks = (
+                chains.ancestors.T.tolist(),
+                chains.link_ids.T.tolist(),
+                list(self.link_table()),
+            )
+        return self._walks
+
+    @staticmethod
+    def _tree_route(walks: _TreeWalks, a: int, b: int) -> List[LinkKey]:
+        """The unique tree path from host ``a`` to host ``b``: up ``a``'s
+        chain to the level below the two chains' meeting point, then down
+        ``b``'s."""
+        up, ids, keys = walks
+        ua, ub = up[a], up[b]
+        level = 1
+        # two hosts' chains differ by the deeper one's own level at the
+        # latest (past its level a column holds host-specific padding)
+        while ua[level] == ub[level]:
+            level += 1
+        pad = len(keys)
+        return [keys[i] for i in reversed(ids[a][level:]) if i != pad] + [
+            keys[i] for i in ids[b][level:] if i != pad
+        ]
 
     def link_capacity(self, link: LinkKey) -> float:
         u, v = link
@@ -325,7 +366,11 @@ class GraphTopology(Topology):
         far = nx.single_source_shortest_path_length(graph, self.hosts[0])
         u = max(far, key=far.get)
         far = nx.single_source_shortest_path_length(graph, u)
-        diameter = nx.shortest_path(graph, u, max(far, key=far.get))
+        toward_u = dict(nx.bfs_predecessors(graph, u))
+        diameter = [max(far, key=far.get)]
+        while diameter[-1] != u:
+            diameter.append(toward_u[diameter[-1]])
+        diameter.reverse()
         root = diameter[len(diameter) // 2]
         parent = dict(nx.bfs_predecessors(graph, root))
         vertex = {v: i for i, v in enumerate(graph)}

@@ -221,7 +221,9 @@ def profile_simulation(sim: Simulation) -> Dict:
     Returns the profiler's canonical document (see
     :meth:`repro.obs.profile.Profiler.to_doc`) extended with the run's
     work counts: processed ``events``, ``flows_started``,
-    ``route_convergences`` and ``reroutes``.
+    ``route_convergences``, ``reroutes`` and ``bfs_runs`` (the ECMP BFS
+    records a :class:`~repro.cluster.topologies.FabricTopology` built; 0
+    on other topologies).
     """
     from repro.obs import profile as obs_profile
 
@@ -232,4 +234,5 @@ def profile_simulation(sim: Simulation) -> Dict:
     doc["flows_started"] = result.flows
     doc["route_convergences"] = result.route_convergences
     doc["reroutes"] = result.reroutes
+    doc["bfs_runs"] = getattr(sim.cluster.topology, "bfs_runs", 0)
     return doc

@@ -151,3 +151,68 @@ class TestBackgroundInSimulation:
             return sim.run().mean_jct
 
         assert jct(BackgroundSpec(intensity=0.6)) > jct(None)
+
+
+class TestHotspotSatisfiable:
+    def test_underflowed_hotspot_rejected_up_front(self):
+        """At alpha = 2000 every weight but the first underflows to 0, so
+        no two distinct endpoints can be drawn."""
+        with pytest.raises(
+            ValueError, match=r"hotspot_alpha=2000.* 1 non-zero .* 6 host"
+        ):
+            make(BackgroundSpec(intensity=0.3, hotspot_alpha=2000))
+
+    def test_single_host_rejected(self):
+        with pytest.raises(ValueError, match="hotspot_alpha=0.0 leaves 1 non-zero"):
+            make(BackgroundSpec(intensity=0.3), racks=1, per_rack=1)
+
+    def test_two_nonzero_weights_accepted(self):
+        """alpha = 1000 keeps 2^-1000 > 0: two endpoints, always the same
+        pair of hosts."""
+        sim, cluster, bg = make(BackgroundSpec(intensity=0.3, hotspot_alpha=1000))
+        assert np.count_nonzero(bg.weights) == 2
+        assert {bg._endpoints() for _ in range(50)} <= {(0, 1), (1, 0)}
+
+
+class _CountingRng:
+    """Forwards the draws ``BackgroundTraffic`` makes and counts the
+    one-uniform redraws that follow a collision."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.redraws = 0
+
+    def random(self, size):
+        self.redraws += size == 1
+        return self.rng.random(size)
+
+    def exponential(self, scale):
+        return self.rng.exponential(scale)
+
+
+class TestSamplerMatchesChoice:
+    """The CDF sampler against ``Generator.choice``, the reference it
+    replaces: the same two endpoints from the same stream, with a flow
+    size drawn between arrivals as ``_arrival`` does."""
+
+    DRAWS = 20_000
+
+    @pytest.mark.parametrize("n", [2, 16, 128, 400])
+    @pytest.mark.parametrize("alpha", [0.0, 0.8, 1.0, 1.2])
+    def test_same_draws_as_choice(self, alpha, n):
+        spec = BackgroundSpec(intensity=0.3, hotspot_alpha=alpha)
+        _, _, bg = make(spec, seed=n, racks=1, per_rack=n)
+        rng = bg.rng = _CountingRng(bg.rng)
+        reference = np.random.default_rng(n)
+        got, want = [], []
+        for _ in range(self.DRAWS):
+            got.append((*bg._endpoints(), rng.exponential(spec.mean_size)))
+            src, dst = reference.choice(n, 2, replace=False, p=bg.weights)
+            want.append(
+                (int(src), int(dst), reference.exponential(spec.mean_size))
+            )
+        assert got == want
+        assert all(src != dst for src, dst, _ in got)
+        if n == 2:
+            # over half the first draws collide: the redraw path is covered
+            assert rng.redraws > self.DRAWS // 4

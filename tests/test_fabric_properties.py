@@ -331,6 +331,70 @@ class TestUnrankingEdgeCases:
         assert topo.equal_cost_paths("a", "b") == forward
 
 
+def _assert_pairs_match(fabric, oracle, hosts, fids=range(6)):
+    """Every ordered pair of ``hosts`` answers as the oracle does."""
+    for src in hosts:
+        for dst in hosts:
+            assert fabric.equal_cost_paths(src, dst) == (
+                oracle.equal_cost_paths(src, dst)
+            ), (src, dst)
+            assert fabric.route(src, dst) == oracle.route(src, dst)
+            for fid in fids:
+                assert fabric.route_for_flow(src, dst, fid) == (
+                    oracle.route_for_flow(src, dst, fid)
+                ), (src, dst, fid)
+
+
+class TestSharedBfsRecords:
+    """A single-homed destination reads its attachment switch's BFS
+    record; a multi-homed one keeps its own."""
+
+    #: ``h0_0_0`` last, so its pairs are first ranked toward it
+    HOSTS = ["h0_0_1", "h0_1_0", "h1_0_1", "h3_1_1", "h0_0_0"]
+
+    @pytest.mark.parametrize("routing", ["linkstate", "ecmp"])
+    def test_leaf_host_with_its_only_link_down(self, routing):
+        graph = fat_tree_graph(4)
+        fabric = FabricTopology(graph, routing=routing)
+        oracle = EnumeratedFabric(graph, routing=routing)
+        for topo in (fabric, oracle):
+            topo.mark_link_down(("edge0_0", "h0_0_0"))
+        _assert_pairs_match(fabric, oracle, self.HOSTS)
+        cut = fabric.equal_cost_paths("h0_0_1", "h0_0_0")
+        if routing == "linkstate":
+            # no live neighbour: h0_0_0 is its own (one-node) BFS root
+            assert cut == [] and "h0_0_0" in fabric._toward
+            assert ("edge0_0", "h0_0_0") in fabric.route("h0_0_1", "h0_0_0")
+        else:
+            assert len(cut) == 1
+
+    @pytest.mark.parametrize("routing", ["linkstate", "ecmp"])
+    def test_multi_homed_host(self, routing):
+        graph = fat_tree_graph(4)
+        graph.add_edge("h0_0_0", "edge0_1", capacity=10 * Gbps)
+        fabric = FabricTopology(graph, routing=routing)
+        oracle = EnumeratedFabric(graph, routing=routing)
+        _assert_pairs_match(fabric, oracle, self.HOSTS)
+        assert "h0_0_0" in fabric._toward
+        assert len(fabric.equal_cost_paths("h0_1_0", "h0_0_0")) == 1
+        # one of its two links down: single-homed under linkstate
+        for topo in (fabric, oracle):
+            topo.mark_link_down(("edge0_1", "h0_0_0"))
+        _assert_pairs_match(fabric, oracle, self.HOSTS)
+        if routing == "linkstate":
+            assert "h0_0_0" not in fabric._toward
+
+    def test_one_bfs_per_edge_switch(self):
+        topo = clos_topology(4)
+        for dst in topo.hosts:
+            topo.route_for_flow(topo.hosts[0], dst, 1)
+        # 16 destinations on 8 edge switches
+        assert topo.bfs_runs == 8
+        assert set(topo._toward) == {
+            f"edge{pod}_{e}" for pod in range(4) for e in range(2)
+        }
+
+
 def _reroute_plan():
     """The link-and-switch plan of CI's re-routing smoke test."""
     return FaultPlan(

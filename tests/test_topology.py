@@ -7,20 +7,26 @@ import itertools
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from repro.cluster import Cluster
+from repro.cluster import BackgroundSpec, Cluster, ClusterSpec
 from repro.cluster.network import FlowNetwork
 from repro.cluster.topology import (
     GraphTopology,
     MatrixTopology,
     Topology,
+    _canon,
     fat_tree_topology,
     paper_example_topology,
     rack_topology,
     star_topology,
 )
+from repro.core import ProbabilisticNetworkAwareScheduler
+from repro.engine import Simulation
 from repro.sim import Simulator
-from repro.units import Gbps
+from repro.units import MB, Gbps
+from repro.workload import JobSpec
+from tests.test_path_costs import trees
 
 
 class TestRackTopology:
@@ -278,3 +284,79 @@ class TestRouteTensor:
         calls = self._count_route_calls(monkeypatch)
         net.rate_matrix()
         assert len(calls) == multipath
+
+
+def _nx_route(topo, src, dst):
+    """The reference route: networkx's shortest path as link keys."""
+    path = nx.shortest_path(topo.graph, src, dst)
+    return [_canon(u, v) for u, v in zip(path[:-1], path[1:])]
+
+
+def _assert_routes_match_networkx(graph):
+    """Every ordered pair's ``route`` equals networkx's, with each
+    direction computed first on one of two fresh topologies (the other
+    direction is then read back reversed from the route cache)."""
+    for forward in (True, False):
+        topo = GraphTopology(graph)
+        assert topo.up_chains() is not None
+        for a, b in itertools.combinations(topo.hosts, 2):
+            src, dst = (a, b) if forward else (b, a)
+            assert topo.route(src, dst) == _nx_route(topo, src, dst)
+            assert topo.route(dst, src) == _nx_route(topo, dst, src)
+
+
+class TestTreeRoutes:
+    """On a tree, ``route`` is read off the up-chains; networkx's
+    ``shortest_path`` is the oracle (a tree has one path per pair)."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: rack_topology(4, 5), lambda: rack_topology(1, 3),
+         lambda: star_topology(6)],
+        ids=["rack", "one-rack", "star"],
+    )
+    def test_builders_match_networkx(self, build):
+        _assert_routes_match_networkx(build().graph)
+
+    @given(topo=trees())
+    @settings(max_examples=40, deadline=None)
+    def test_random_trees_match_networkx(self, topo):
+        _assert_routes_match_networkx(topo.graph)
+
+    @given(topo=trees(internal_hosts=True))
+    @settings(max_examples=40, deadline=None)
+    def test_hosts_inside_the_tree_match_networkx(self, topo):
+        _assert_routes_match_networkx(topo.graph)
+
+    @staticmethod
+    def _count_searches(monkeypatch):
+        calls = []
+        search = nx.shortest_path
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(nx, "shortest_path", counting)
+        return calls
+
+    def test_tree_run_makes_no_shortest_path_call(self, monkeypatch):
+        """A whole run on a rack tree, background traffic included, routes
+        every flow without one networkx path search."""
+        calls = self._count_searches(monkeypatch)
+        result = Simulation(
+            cluster=ClusterSpec(num_racks=3, nodes_per_rack=4),
+            scheduler=ProbabilisticNetworkAwareScheduler(),
+            jobs=[JobSpec.make("01", "terasort", 12 * 64 * MB, 12, 3)],
+            background=BackgroundSpec(intensity=0.2),
+            seed=5,
+        ).run()
+        assert result.flows > 0
+        assert calls == []
+
+    def test_off_trees_route_by_search(self, monkeypatch):
+        topo = fat_tree_topology(4)
+        assert topo.up_chains() is None
+        calls = self._count_searches(monkeypatch)
+        topo.route("h0_0_0", "h1_0_0")
+        assert len(calls) == 1
