@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from collections import Counter
 
-import networkx as nx
 from conftest import run_once
 
 from repro.analysis import format_table
 from repro.cluster import Cluster
+from repro.cluster.graph import components
 from repro.cluster.topologies import clos_topology
 from repro.core import PNAConfig, ProbabilisticNetworkAwareScheduler
 from repro.engine import EngineConfig, Simulation
@@ -68,15 +68,11 @@ def hot_fabric_links(n_links: int):
                 if link[0] not in host_set and link[1] not in host_set:
                     usage[link] += 1
     picked = []
-    g = topo.graph.copy()
     for link, _ in usage.most_common():
-        g.remove_edge(*link)
-        if nx.is_connected(g):
+        if len(components(topo.graph.adjacency(picked + [link]))) == 1:
             picked.append(link)
             if len(picked) == n_links:
                 break
-        else:
-            g.add_edge(*link)
     return picked
 
 

@@ -55,7 +55,6 @@ import math
 import weakref
 from typing import Callable, List, Optional, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro import accel as _accel
@@ -546,19 +545,9 @@ class FlowNetwork:
             return frozenset()
         if self._iso_cache is not None and self._iso_version == self._down_version:
             return self._iso_cache
-        graph = getattr(self.topology, "graph", None)
-        if graph is None:
-            # matrix topologies carry dedicated per-pair pipes; link faults
-            # target graph-backed fabrics only
-            iso: frozenset = frozenset()
-        else:
-            live = graph.copy()
-            live.remove_edges_from(self._down_links)
-            host_set = set(self.topology.hosts)
-            comps = [c & host_set for c in nx.connected_components(live)]
-            comps = [c for c in comps if c]
-            main = max(comps, key=lambda c: (len(c), sorted(c)))
-            iso = frozenset(host_set - main)
+        comps = self.topology.host_components(self._down_links)
+        main = max(comps, key=lambda c: (len(c), sorted(c)))
+        iso = frozenset(set(self.topology.hosts) - main)
         self._iso_cache = iso
         self._iso_version = self._down_version
         return iso

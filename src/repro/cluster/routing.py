@@ -156,7 +156,7 @@ class RoutingController:
 
     def _partitioned_set(self) -> FrozenSet[Tuple[str, str]]:
         """All unordered host pairs split across live components."""
-        comps = self.topology.host_components()
+        comps = self.topology.host_components(self.topology.down_links)
         if len(comps) <= 1:
             return frozenset()
         comps = [sorted(c) for c in comps]

@@ -35,7 +35,8 @@ to pick one path.  A BFS records each node's distance and shortest-path
 count toward ``dst`` over a name-sorted adjacency; path ``h`` is *unranked*
 by walking from ``src``, trying the one-hop-closer neighbours in name order
 and subtracting each one's count until ``h`` fits.  That is exactly entry
-``h`` of networkx's full shortest-path enumeration sorted, with
+``h`` of the full shortest-path enumeration (networkx's
+``all_shortest_paths``) sorted, with
 ``n = count[src]``, at O(hops × degree) per flow after the BFS.  A ``dst``
 with one live neighbour — a host on its edge switch — shares that
 neighbour's record, whose counts are its own, so there is one BFS per
@@ -63,11 +64,11 @@ from __future__ import annotations
 import zlib
 from typing import Dict, List, Optional, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.units import Gbps
 
+from repro.cluster.graph import GraphLike
 from repro.cluster.topology import (
     GraphTopology,
     LinkKey,
@@ -97,7 +98,7 @@ class FabricTopology(GraphTopology):
     cheaply.
     """
 
-    def __init__(self, graph: nx.Graph, *, routing: str = "linkstate") -> None:
+    def __init__(self, graph: GraphLike, *, routing: str = "linkstate") -> None:
         super().__init__(graph)
         if routing not in ROUTING_POLICIES:
             raise ValueError(
@@ -107,7 +108,6 @@ class FabricTopology(GraphTopology):
         #: Monotone routing-table version; bumped on every mark_link_* call.
         self.route_version = 0
         self.down_links: Set[LinkKey] = set()
-        self._live: Optional[nx.Graph] = None
         # name-sorted adjacency of the routing graph and, per BFS root (a
         # destination, or the one live neighbour of a single-homed one),
         # (distance, shortest-path count) toward it.  Nominal and kept for
@@ -128,7 +128,7 @@ class FabricTopology(GraphTopology):
         link = _canon(*link)
         if link in self.down_links:
             return False
-        if link not in self.graph.edges:
+        if not self.graph.has_edge(*link):
             raise ValueError(f"unknown link {link!r}")
         self.down_links.add(link)
         self._bump()
@@ -145,36 +145,14 @@ class FabricTopology(GraphTopology):
 
     def _bump(self) -> None:
         self.route_version += 1
-        self._live = None
         if self.routing == "linkstate":
             self._adj = None
             self._toward.clear()
             self._first.clear()
 
-    @property
-    def live_graph(self) -> nx.Graph:
-        """The nominal graph minus the currently down links."""
-        if not self.down_links:
-            return self.graph
-        if self._live is None:
-            g = self.graph.copy()
-            g.remove_edges_from(self.down_links)
-            self._live = g
-        return self._live
-
-    def host_components(self) -> List[Set[str]]:
-        """Connected components of the live graph, restricted to hosts."""
-        comps = []
-        host_set = set(self.hosts)
-        for comp in nx.connected_components(self.live_graph):
-            hosts = comp & host_set
-            if hosts:
-                comps.append(hosts)
-        return comps
-
     def partitioned_pairs(self) -> int:
         """Number of unordered host pairs with no live path."""
-        comps = self.host_components()
+        comps = self.host_components(self.down_links)
         n = len(self.hosts)
         connected = sum(len(c) * (len(c) - 1) // 2 for c in comps)
         return n * (n - 1) // 2 - connected
@@ -192,9 +170,10 @@ class FabricTopology(GraphTopology):
         """
         adj = self._adj
         if adj is None:
-            live = self.routing == "linkstate"
-            g = self.live_graph if live else self.graph
-            adj = self._adj = {u: sorted(g[u]) for u in g}
+            down = self.down_links if self.routing == "linkstate" else ()
+            adj = self._adj = {
+                u: sorted(nbrs) for u, nbrs in self.graph.adjacency(down).items()
+            }
         nbrs = adj[dst]
         root = nbrs[0] if len(nbrs) == 1 else dst
         rec = self._toward.get(root)
@@ -224,7 +203,8 @@ class FabricTopology(GraphTopology):
         queried first since the last routing change; the count is 0 when
         the pair is partitioned, equal or unknown.
         """
-        if src == dst or src not in self.graph or dst not in self.graph:
+        nodes = self.graph.nodes
+        if src == dst or src not in nodes or dst not in nodes:
             return src, dst, 0
         if (dst, src) in self._first:
             src, dst = dst, src

@@ -5,10 +5,11 @@ entry ``h_ab`` is the hop count of the path between data nodes ``a`` and
 ``b`` (Section II-B-1), optionally replaced by the inverse of the live path
 transmission rate (Section II-B-3).  This module supplies both:
 
-* :class:`GraphTopology` — a switch/host graph (networkx) with per-link
-  capacities.  Hop counts come from shortest paths; routes (read off the
-  up-chains on a tree) are cached and fed to the flow-level network
-  simulator.  A graph whose hosts are not all connected is rejected by
+* :class:`GraphTopology` — a switch/host graph
+  (:class:`~repro.cluster.graph.Graph`) with per-link capacities.  Hop
+  counts come from shortest paths; routes (read off the up-chains on a
+  tree) are cached and fed to the flow-level network simulator.  A graph
+  whose hosts are not all connected is rejected by
   :meth:`~GraphTopology.hop_matrix`.  The route tensor behind
   ``FlowNetwork.rate_matrix`` comes from one BFS per host; a tree graph
   also offers its static host up-chains (:meth:`~GraphTopology.up_chains`),
@@ -24,12 +25,13 @@ rack/ToR/core tree, a single-switch star, and a k-ary fat-tree.
 from __future__ import annotations
 
 from typing import (
-    Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+    Collection, Dict, Hashable, Iterable, List, NamedTuple, Optional,
+    Sequence, Set, Tuple,
 )
 
-import networkx as nx
 import numpy as np
 
+from repro.cluster.graph import Graph, GraphLike, bfs, components
 from repro.units import Gbps
 
 __all__ = [
@@ -155,6 +157,14 @@ class Topology:
         """Host up-chains when every route is the unique tree path, else None."""
         return None
 
+    def host_components(self, down: Collection[LinkKey]) -> List[Set[str]]:
+        """Hosts split by connectivity once the ``down`` links fail.
+
+        Here every host pair has its own pipe, which link faults do not
+        target: one component.
+        """
+        return [set(self.hosts)]
+
     def access_link_capacities(self) -> List[float]:
         """Each host's access-link capacity, in host order: the first link
         of its route to the first other host (none on a single host)."""
@@ -173,26 +183,31 @@ class Topology:
 
 
 class GraphTopology(Topology):
-    """A topology backed by an undirected networkx graph.
+    """A topology backed by an undirected switch/host graph.
 
-    Hosts are graph vertices flagged with ``kind='host'`` and a ``rack``
-    attribute; everything else is a switch.  Every edge carries a
-    ``capacity`` attribute in bytes/s.  Shortest-path routes (hop-count
-    metric) are computed once per pair and cached.  On a tree each is the
-    unique path, read off :meth:`up_chains`; elsewhere it is
-    ``nx.shortest_path``'s answer, whose tie-break is stable for a fixed
-    construction order.
+    ``graph`` is any object with networkx-style ``nodes``/``adj`` mappings
+    (a :class:`~repro.cluster.graph.Graph` or a ``networkx.Graph``); the
+    topology keeps its own :class:`~repro.cluster.graph.Graph` copy, in
+    the same node and neighbour orders, as ``self.graph``.  Hosts are
+    graph vertices flagged with ``kind='host'`` and a ``rack`` attribute;
+    everything else is a switch.  Every edge carries a ``capacity``
+    attribute in bytes/s.  Shortest-path routes (hop-count metric) are
+    computed once per pair and cached.  On a tree each is the unique path,
+    read off :meth:`up_chains`; elsewhere it is the bidirectional BFS of
+    :meth:`Graph.shortest_path <repro.cluster.graph.Graph.shortest_path>`,
+    whose tie-break is stable for a fixed construction order.
     """
 
-    def __init__(self, graph: nx.Graph) -> None:
-        self.graph = graph
+    def __init__(self, graph: GraphLike) -> None:
+        self.graph = graph = Graph.of(graph)
         self.hosts = sorted(
-            (n for n, d in graph.nodes(data=True) if d.get("kind") == "host"),
+            (n for n, d in graph.nodes.items() if d.get("kind") == "host"),
             key=str,
         )
         if not self.hosts:
             raise ValueError("topology has no hosts")
-        for u, v, d in graph.edges(data=True):
+        for u, v in graph.edges():
+            d = graph.adj[u][v]
             if "capacity" not in d or d["capacity"] <= 0:
                 raise ValueError(f"edge {u!r}-{v!r} lacks a positive capacity")
         self._host_index = {h: i for i, h in enumerate(self.hosts)}
@@ -212,7 +227,7 @@ class GraphTopology(Topology):
             hops = np.zeros((k, k), dtype=np.int64)
             # one BFS per host over the switch fabric
             for a, src in enumerate(self.hosts):
-                lengths = nx.single_source_shortest_path_length(self.graph, src)
+                lengths = bfs(self.graph.adj, src)[0]
                 try:
                     for b, dst in enumerate(self.hosts):
                         hops[a, b] = lengths[dst]
@@ -234,7 +249,7 @@ class GraphTopology(Topology):
             a = self._host_index.get(src)
             b = self._host_index.get(dst)
             if walks is None or a is None or b is None:
-                path = nx.shortest_path(self.graph, src, dst)
+                path = self.graph.shortest_path(src, dst)
                 cached = [_canon(u, v) for u, v in zip(path[:-1], path[1:])]
             else:
                 cached = self._tree_route(walks, a, b)
@@ -276,10 +291,17 @@ class GraphTopology(Topology):
 
     def link_capacity(self, link: LinkKey) -> float:
         u, v = link
-        return self.graph.edges[u, v]["capacity"]
+        return self.graph.adj[u][v]["capacity"]
 
     def links(self) -> Iterable[LinkKey]:
         return (_canon(u, v) for u, v in self.graph.edges())
+
+    def host_components(self, down: Collection[LinkKey]) -> List[Set[str]]:
+        """Connected components of the graph minus the ``down`` links,
+        restricted to hosts, in order of each component's first node."""
+        hosts = set(self.hosts)
+        comps = (c & hosts for c in components(self.graph.adjacency(down)))
+        return [c for c in comps if c]
 
     def route_tensor(self) -> np.ndarray:
         """Route link ids from one BFS per host, not one search per pair.
@@ -293,7 +315,7 @@ class GraphTopology(Topology):
         """
         # raises on unreachable hosts, so every walk below ends at its source
         depth = max(1, int(self.hop_matrix().max()))
-        graph = self.graph
+        graph = self.graph.adj
         nodes = list(graph)
         index = {v: i for i, v in enumerate(nodes)}
         lid = self.link_table()
@@ -349,7 +371,8 @@ class GraphTopology(Topology):
     def up_chains(self) -> Optional[UpChains]:
         """Each host's chain of ancestors and links up to one root.
 
-        Only a tree qualifies (``nx.is_tree``): there every route is the
+        Only a tree qualifies (:meth:`Graph.is_tree
+        <repro.cluster.graph.Graph.is_tree>`): there every route is the
         unique path, up from one host to the two hosts' lowest common
         ancestor and down to the other.  The root is the middle of a
         longest path, which keeps the chains short.  Built once; the
@@ -357,23 +380,22 @@ class GraphTopology(Topology):
         """
         if not self._chains_known:
             self._chains_known = True
-            if nx.is_tree(self.graph):
+            if self.graph.is_tree():
                 self._chains = self._build_up_chains()
         return self._chains
 
     def _build_up_chains(self) -> UpChains:
-        graph = self.graph
-        far = nx.single_source_shortest_path_length(graph, self.hosts[0])
+        adj = self.graph.adj
+        far = bfs(adj, self.hosts[0])[0]
         u = max(far, key=far.get)
-        far = nx.single_source_shortest_path_length(graph, u)
-        toward_u = dict(nx.bfs_predecessors(graph, u))
+        far, toward_u = bfs(adj, u)
         diameter = [max(far, key=far.get)]
         while diameter[-1] != u:
             diameter.append(toward_u[diameter[-1]])
         diameter.reverse()
         root = diameter[len(diameter) // 2]
-        parent = dict(nx.bfs_predecessors(graph, root))
-        vertex = {v: i for i, v in enumerate(graph)}
+        parent = bfs(adj, root)[1]
+        vertex = {v: i for i, v in enumerate(adj)}
         lid = self.link_table()
         chains = []
         for host in self.hosts:
@@ -481,7 +503,7 @@ def rack_topology(
     """
     if num_racks < 1 or nodes_per_rack < 1:
         raise ValueError("need at least one rack and one node per rack")
-    g = nx.Graph()
+    g = Graph()
     core = "core"
     if num_racks > 1:
         g.add_node(core, kind="switch")
@@ -512,7 +534,7 @@ def fat_tree_graph(
     *,
     host_link: float = 10.0 * Gbps,
     fabric_link: Optional[float] = None,
-) -> nx.Graph:
+) -> Graph:
     """The raw graph of a k-ary fat-tree with ``k^3 / 4`` hosts.
 
     ``k`` must be even.  Pods contain ``k/2`` edge and ``k/2`` aggregation
@@ -525,7 +547,7 @@ def fat_tree_graph(
     if fabric_link is None:
         fabric_link = host_link
     half = k // 2
-    g = nx.Graph()
+    g = Graph()
     # core switches, indexed (i, j) in a half x half grid
     cores = [[f"core{i}_{j}" for j in range(half)] for i in range(half)]
     for row in cores:

@@ -370,7 +370,7 @@ def fabric_targets() -> Tuple[
     )
     switches = tuple(
         sorted(
-            n for n, d in graph.nodes(data=True) if d.get("kind") != "host"
+            n for n, d in graph.nodes.items() if d.get("kind") != "host"
         )
     )
     return nodes, racks, links, switches

@@ -151,7 +151,7 @@ class FaultInjector:
                     )
             for sf in self.plan.switch_failures:
                 if (
-                    sf.switch not in graph
+                    sf.switch not in graph.nodes
                     or graph.nodes[sf.switch].get("kind") == "host"
                 ):
                     raise ValueError(
@@ -399,7 +399,7 @@ class FaultInjector:
         """Canonical links a fabric fault takes down (deterministic order)."""
         if isinstance(fault, SwitchFailure):
             graph = self.cluster.topology.graph
-            return [_canon(fault.switch, nbr) for nbr in graph.neighbors(fault.switch)]
+            return [_canon(fault.switch, nbr) for nbr in graph.adj[fault.switch]]
         if fault.link is not None:
             return [_canon(*fault.link)]
         access = self._access_link(fault.node)

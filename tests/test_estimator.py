@@ -88,19 +88,18 @@ class TestProgressEstimator:
         assert np.allclose(est, job.I[task.index] * frac)
 
     def test_zero_progress_yields_zeros(self):
+        """A map launched at this very instant has read no input yet."""
         sim = make_sim()
         sim.tracker.start()
-        # run just past the first heartbeat so maps are placed but their
-        # input flows have moved no bytes yet at t == placement instant
-        job = None
-        sim.sim.run(until=0.01)
+        sim.sim.run(until=1e-9)  # submission only (heartbeats staggered)
         job = sim.tracker.active_jobs[0]
-        for task in job.maps:
-            if task.node is not None and task.d_read(sim.sim.now) == 0.0:
-                est = ProgressEstimator().estimate(task, sim.sim.now)
-                assert np.all(est == 0)
-                return
-        pytest.skip("every placed map had already made progress")
+        task = job.pending_maps()[0]
+        task.launch(sim.cluster.nodes[0])
+        now = sim.sim.now
+        assert task.node is not None and task.d_read(now) == 0.0
+        est = ProgressEstimator().estimate(task, now)
+        assert est.shape == (job.num_reduces,) and np.all(est == 0)
+        assert np.all(ProgressEstimator().estimate_many([task], now) == 0)
 
     def test_completed_map_returns_exact_row(self):
         sim = make_sim()

@@ -47,6 +47,7 @@ from repro.trace.export import jsonl_lines
 from repro.units import MB, Gbps
 from repro.workload import JobSpec
 from tests import test_refill_properties as churn
+from tests.nxgraph import to_networkx
 
 ks = st.sampled_from([2, 4, 6])
 oversubs = st.sampled_from([1.0, 2.0, 4.0])
@@ -84,12 +85,12 @@ class TestFatTreeInvariants:
         half = k // 2
         for pod in range(k):
             uplinks = sum(
-                g.edges[f"agg{pod}_{a}", f"core{a}_{j}"]["capacity"]
+                g.adj[f"agg{pod}_{a}"][f"core{a}_{j}"]["capacity"]
                 for a in range(half)
                 for j in range(half)
             )
             hosts = sum(
-                g.edges[f"edge{pod}_{e}", f"h{pod}_{e}_{h}"]["capacity"]
+                g.adj[f"edge{pod}_{e}"][f"h{pod}_{e}_{h}"]["capacity"]
                 for e in range(half)
                 for h in range(half)
             )
@@ -101,14 +102,14 @@ class TestFatTreeInvariants:
         link = 10.0 * Gbps
         topo = clos_topology(k, oversubscription=oversub, link=link)
         g = topo.graph
-        assert g.edges["edge0_0", "h0_0_0"]["capacity"] == link
-        assert g.edges["edge0_0", "agg0_0"]["capacity"] == link / oversub
+        assert g.adj["edge0_0"]["h0_0_0"]["capacity"] == link
+        assert g.adj["edge0_0"]["agg0_0"]["capacity"] == link / oversub
 
     @given(k=ks, oversub=oversubs)
     @settings(max_examples=15, deadline=None)
     def test_connected_and_every_pair_routable(self, k, oversub):
         topo = clos_topology(k, oversubscription=oversub)
-        assert nx.is_connected(topo.graph)
+        assert nx.is_connected(to_networkx(topo.graph))
         hosts = topo.hosts
         probe = hosts[:: max(1, len(hosts) // 4)]
         for a in probe:
@@ -131,7 +132,7 @@ class TestFatTreeInvariants:
         link = random.Random(seed).choice(fabric_links)
         topo.mark_link_down(link)
         assert topo.partitioned_pairs() == 0
-        assert len(topo.host_components()) == 1
+        assert len(topo.host_components(topo.down_links)) == 1
 
 
 class EnumeratedFabric(FabricTopology):
@@ -153,7 +154,9 @@ class EnumeratedFabric(FabricTopology):
         key = (src, dst)
         cached = self._ecmp.get(key)
         if cached is None:
-            g = self.live_graph if self.routing == "linkstate" else self.graph
+            g = to_networkx(self.graph)
+            if self.routing == "linkstate":
+                g.remove_edges_from(self.down_links)
             try:
                 paths = sorted(nx.all_shortest_paths(g, src, dst))
             except (nx.NetworkXNoPath, nx.NodeNotFound):
@@ -271,7 +274,7 @@ class TestUnrankedMatchesEnumeration:
     @settings(max_examples=40, deadline=None)
     def test_clos(self, k, routing, down, ops):
         graph = fat_tree_graph(k)
-        n = graph.number_of_edges()
+        n = len(list(graph.edges()))
         start = [(3, 0, True, i) for i in sorted({i % n for i in down})]
         check_against_oracle(graph, routing, start + ops)
 

@@ -2,8 +2,10 @@
 
 The run happens in a fresh interpreter, so nothing another test imported
 can hide a regression: a smoke-sized PNA network-condition run on a tree,
-built through the public API, must leave scipy, the analysis package and
-every exporter unloaded.  ``MatchingScheduler`` is the one user of scipy;
+built through the public API, must leave networkx, scipy, the analysis
+package and every exporter unloaded.  So must a run on a link-state Clos
+fabric under a link and a switch failure, which re-routes flows and asks
+which hosts the down links cut off.  ``MatchingScheduler`` is the one user of scipy;
 it must load scipy on its first solve, not on import, and still give the
 same schedule.  The checks count modules, not seconds, so they hold on any
 host.
@@ -20,6 +22,7 @@ import pytest
 
 #: modules a plain simulation run must never load
 OFF_PATH = (
+    "networkx",
     "scipy",
     "repro.analysis",
     "repro.trace.render",
@@ -57,9 +60,36 @@ SCRIPT = textwrap.dedent(
         return sorted(m for m in OFF_PATH if m in sys.modules)
 
 
+    def run_faulted_fabric():
+        from repro.cluster import Cluster
+        from repro.cluster.topologies import clos_topology
+        from repro.engine import EngineConfig
+        from repro.faults import FaultPlan, LinkFailure, SwitchFailure
+        from repro.sim import Simulator
+
+        plan = FaultPlan(
+            link_failures=(
+                LinkFailure(link=("edge0_0", "h0_0_0"), duration=6.0, at=2.0),
+            ),
+            switch_failures=(
+                SwitchFailure(switch="agg1_0", duration=4.0, at=2.5),
+            ),
+        )
+        result = Simulation(
+            cluster=Cluster(Simulator(), clos_topology(4, routing="linkstate")),
+            scheduler=ProbabilisticNetworkAwareScheduler(),
+            jobs=batched_workload(2, scale=0.05, stagger=1.0),
+            config=EngineConfig(faults=plan, route_convergence_delay=0.5),
+            seed=1,
+        ).run()
+        return result.route_convergences
+
+
     doc = {{}}
     run(ProbabilisticNetworkAwareScheduler(PNAConfig(network_condition=True)))
     doc["loaded_after_pna"] = loaded()
+    doc["fabric_convergences"] = run_faulted_fabric()
+    doc["loaded_after_fabric"] = loaded()
 
     from repro.schedulers import MatchingScheduler
 
@@ -85,6 +115,11 @@ def fresh_run():
 
 def test_simulation_run_leaves_heavy_modules_unloaded(fresh_run):
     assert fresh_run["loaded_after_pna"] == []
+
+
+def test_faulted_fabric_run_leaves_heavy_modules_unloaded(fresh_run):
+    assert fresh_run["fabric_convergences"] >= 2
+    assert fresh_run["loaded_after_fabric"] == []
 
 
 def test_matching_loads_scipy_on_first_solve(fresh_run):

@@ -34,17 +34,18 @@ from repro.schedulers import FairScheduler, RandomScheduler
 from repro.sim import Simulator
 from repro.units import MB, Gbps
 from repro.workload import JobSpec
+from tests.nxgraph import to_networkx
 
 CAPACITIES = np.array([1.0, 2.5, 10.0, 40.0]) * Gbps
 
 
 @st.composite
-def trees(draw, internal_hosts=False):
-    """A random switch tree, 1-4 switch levels deep, with hosts hanging at
-    varying depths and random link capacities.  The shape comes from a
-    drawn seed, so draws spread evenly over shapes.  ``internal_hosts``
-    also turns some switches, the root included, into hosts with
-    vertices below them."""
+def tree_graphs(draw, internal_hosts=False):
+    """A random switch tree as a ``networkx.Graph``, 1-4 switch levels
+    deep, with hosts hanging at varying depths and random link capacities.
+    The shape comes from a drawn seed, so draws spread evenly over shapes.
+    ``internal_hosts`` also turns some switches, the root included, into
+    hosts with vertices below them."""
     depth = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     g = nx.Graph()
@@ -76,7 +77,12 @@ def trees(draw, internal_hosts=False):
                 hosts.append(v)
     while len(hosts) < 4:
         attach("s", f"s.h{len(hosts)}", "host")
-    return GraphTopology(g)
+    return g
+
+
+def trees(internal_hosts=False):
+    """A :class:`GraphTopology` over :func:`tree_graphs`."""
+    return tree_graphs(internal_hosts).map(GraphTopology)
 
 
 def _job_cluster(topo, seed):
@@ -180,7 +186,7 @@ def test_families_get_the_right_view(family_topology, tensor_builds):
     graph = getattr(topo, "graph", None)
     view_class = (
         TreePathCosts
-        if graph is not None and nx.is_tree(graph)
+        if graph is not None and nx.is_tree(to_networkx(graph))
         else DensePathCosts
     )
     assert isinstance(view, view_class)

@@ -8,7 +8,6 @@ deterministic, and verify the selection against hand-computed Formulae.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.cluster import ClusterSpec
 from repro.core import (
@@ -39,10 +38,10 @@ class FixedRng:
         return 0
 
 
-def make_state(num_maps=6, num_reduces=3, seed=13):
+def make_state(num_maps=6, num_reduces=3, seed=13, noise_sigma=0.0):
     """A live simulation paused right after submission (nothing placed)."""
     spec = JobSpec.make("01", "terasort", num_maps * 64 * MB,
-                        num_maps, num_reduces)
+                        num_maps, num_reduces, noise_sigma=noise_sigma)
     sched = ProbabilisticNetworkAwareScheduler()
     sim = Simulation(
         cluster=ClusterSpec(num_racks=2, nodes_per_rack=3),
@@ -145,20 +144,22 @@ class TestAlgorithm2:
         assert task is not None
 
     def test_reduce_cost_drives_selection(self):
-        """After maps complete, the reduce with max P here is returned."""
-        sim, sched, job = make_state(num_maps=4, num_reduces=3)
-        sim.sim.run(until=120.0)  # let all maps finish
+        """After maps complete, the reduce with max P here is returned.
+
+        Noisy intermediate data gives each map its own partition split, so
+        the reduces' probabilities on one node differ."""
+        sim, sched, job = make_state(num_maps=4, num_reduces=3, noise_sigma=0.5)
+        # decline every reduce offer until the last map has finished
+        sched.select_reduce = lambda node, job, ctx: None
+        sim.sim.run(until=120.0)
+        del sched.select_reduce
         assert job.all_maps_done
+        pending = job.pending_reduces()
+        assert len(pending) == 3
         ctx = sim.tracker.ctx
         ctx.rng = FixedRng([0.0])
-        # pick a node with free reduce slot and no running reduce of the job
-        node = next(
-            n for n in sim.cluster.nodes_with_free_reduce_slots()
-            if not job.has_running_reduce_on(n.name)
-        )
-        pending = job.pending_reduces()
-        if not pending:
-            pytest.skip("all reduces already placed by the run")
+        node = sim.cluster.nodes[0]
+        assert node.free_reduce_slots and not job.has_running_reduce_on(node.name)
         task = sched.select_reduce(node, job, ctx)
         assert task is not None
 
@@ -168,6 +169,7 @@ class TestAlgorithm2:
         costs = model.reduce_costs(free, idx, ctx.now, estimator=sched.estimator)
         row = int(np.nonzero(free == node.index)[0][0])
         probs = ExponentialModel().probability(costs.mean(axis=0), costs[row])
+        assert np.ptp(probs) > 1e-3
         assert task.index == idx[int(np.argmax(probs))]
 
 

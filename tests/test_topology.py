@@ -3,19 +3,24 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import BackgroundSpec, Cluster, ClusterSpec
+from repro.cluster.graph import Graph
 from repro.cluster.network import FlowNetwork
+from repro.cluster.topologies import FabricTopology
 from repro.cluster.topology import (
     GraphTopology,
     MatrixTopology,
     Topology,
     _canon,
+    fat_tree_graph,
     fat_tree_topology,
     paper_example_topology,
     rack_topology,
@@ -26,7 +31,8 @@ from repro.engine import Simulation
 from repro.sim import Simulator
 from repro.units import MB, Gbps
 from repro.workload import JobSpec
-from tests.test_path_costs import trees
+from tests.nxgraph import to_networkx
+from tests.test_path_costs import tree_graphs, trees
 
 
 class TestRackTopology:
@@ -274,10 +280,11 @@ class TestRouteTensor:
 
     def test_only_multipath_pairs_search(self, monkeypatch):
         topo = fat_tree_topology(4)
+        graph = to_networkx(topo.graph)
         multipath = sum(
             1
             for a, b in itertools.combinations(topo.hosts, 2)
-            if len(list(nx.all_shortest_paths(topo.graph, a, b))) >= 2
+            if len(list(nx.all_shortest_paths(graph, a, b))) >= 2
         )
         assert 0 < multipath < topo.num_hosts * (topo.num_hosts - 1) // 2
         net = FlowNetwork(Simulator(), topo)
@@ -286,23 +293,23 @@ class TestRouteTensor:
         assert len(calls) == multipath
 
 
-def _nx_route(topo, src, dst):
-    """The reference route: networkx's shortest path as link keys."""
-    path = nx.shortest_path(topo.graph, src, dst)
+def _links(path):
+    """A node path as link keys."""
     return [_canon(u, v) for u, v in zip(path[:-1], path[1:])]
 
 
 def _assert_routes_match_networkx(graph):
-    """Every ordered pair's ``route`` equals networkx's, with each
-    direction computed first on one of two fresh topologies (the other
-    direction is then read back reversed from the route cache)."""
+    """Every ordered pair's ``route`` equals networkx's shortest path, with
+    each direction computed first on one of two fresh topologies (the
+    other direction is then read back reversed from the route cache)."""
+    reference = to_networkx(graph)
     for forward in (True, False):
         topo = GraphTopology(graph)
         assert topo.up_chains() is not None
         for a, b in itertools.combinations(topo.hosts, 2):
             src, dst = (a, b) if forward else (b, a)
-            assert topo.route(src, dst) == _nx_route(topo, src, dst)
-            assert topo.route(dst, src) == _nx_route(topo, dst, src)
+            for u, v in ((src, dst), (dst, src)):
+                assert topo.route(u, v) == _links(nx.shortest_path(reference, u, v))
 
 
 class TestTreeRoutes:
@@ -331,18 +338,18 @@ class TestTreeRoutes:
     @staticmethod
     def _count_searches(monkeypatch):
         calls = []
-        search = nx.shortest_path
+        search = Graph.shortest_path
 
-        def counting(*args, **kwargs):
+        def counting(self, *args):
             calls.append(args)
-            return search(*args, **kwargs)
+            return search(self, *args)
 
-        monkeypatch.setattr(nx, "shortest_path", counting)
+        monkeypatch.setattr(Graph, "shortest_path", counting)
         return calls
 
     def test_tree_run_makes_no_shortest_path_call(self, monkeypatch):
         """A whole run on a rack tree, background traffic included, routes
-        every flow without one networkx path search."""
+        every flow without one bidirectional path search."""
         calls = self._count_searches(monkeypatch)
         result = Simulation(
             cluster=ClusterSpec(num_racks=3, nodes_per_rack=4),
@@ -360,3 +367,147 @@ class TestTreeRoutes:
         calls = self._count_searches(monkeypatch)
         topo.route("h0_0_0", "h1_0_0")
         assert len(calls) == 1
+
+
+# ----------------------------------------------------------------------
+# networkx as the independent oracle
+# ----------------------------------------------------------------------
+@st.composite
+def shuffled_graphs(draw):
+    """A random connected switch graph with hosts on one or two switches,
+    built by node and edge insertions in a drawn order, each edge in a
+    drawn orientation, so node, neighbour and edge orders all vary."""
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    switches = [f"s{i}" for i in rnd.sample(range(20), rnd.randint(2, 8))]
+    hosts = [f"h{i}" for i in rnd.sample(range(20), rnd.randint(2, 7))]
+    edges = [(s, rnd.choice(switches[:i])) for i, s in enumerate(switches) if i]
+    edges += [
+        tuple(rnd.sample(switches, 2))
+        for _ in range(rnd.randint(0, 2 * len(switches)))
+    ]
+    for h in hosts:
+        edges += [(h, s) for s in rnd.sample(switches, rnd.randint(1, 2))]
+    ops = [(n,) for n in switches + hosts] + edges
+    rnd.shuffle(ops)
+    g = nx.Graph()
+    for op in ops:
+        if len(op) == 1:
+            n = op[0]
+            if n in hosts:
+                g.add_node(n, kind="host", rack="rack0")
+            else:
+                g.add_node(n, kind="switch")
+        else:
+            u, v = op if rnd.random() < 0.5 else op[::-1]
+            g.add_edge(u, v, capacity=rnd.choice([1, 2, 10]) * Gbps)
+    return g
+
+
+def _nx_up_chains(g, topo):
+    """Up-chains from networkx: root at the middle of the path between a
+    vertex farthest from the first host and one farthest from that."""
+    hosts = topo.hosts
+    far = nx.single_source_shortest_path_length(g, hosts[0])
+    u = max(far, key=far.get)
+    far = nx.single_source_shortest_path_length(g, u)
+    diameter = nx.shortest_path(g, u, max(far, key=far.get))
+    root = diameter[len(diameter) // 2]
+    paths = [nx.shortest_path(g, root, h) for h in hosts]
+    vertex = {v: i for i, v in enumerate(g)}
+    lid = topo.link_table()
+    depth = max(len(p) for p in paths) - 1
+    ancestors = np.empty((depth + 1, len(hosts)), dtype=np.int64)
+    link_ids = np.full((depth + 1, len(hosts)), len(lid), dtype=np.int64)
+    for a, path in enumerate(paths):
+        ancestors[:, a] = -(a + 1)
+        ancestors[: len(path), a] = [vertex[v] for v in path]
+        for level, link in enumerate(_links(path), 1):
+            link_ids[level, a] = lid[link]
+    return ancestors, link_ids
+
+
+def check_against_networkx(g, picks):
+    """Every graph answer of the topologies built from ``g`` equals
+    networkx's on ``g`` itself, with the links ``picks`` selects down."""
+    edges = list(g.edges())
+    down = sorted({_canon(*edges[i % len(edges)]) for i in picks})
+    topo = GraphTopology(g)
+    hosts = topo.hosts
+    assert list(topo.graph.nodes) == list(g)
+    assert all(list(topo.graph.adj[u]) == list(g.adj[u]) for u in g)
+    assert list(topo.links()) == [_canon(u, v) for u, v in edges]
+
+    hops = topo.hop_matrix()
+    for a, src in enumerate(hosts):
+        lengths = nx.single_source_shortest_path_length(g, src)
+        assert hops[a].tolist() == [lengths[dst] for dst in hosts]
+
+    # static routes and the route tensor, with either direction asked first
+    pairs = list(itertools.combinations(range(len(hosts)), 2))
+    sets = _route_link_sets(topo, topo.route_tensor())
+    backward = GraphTopology(g)
+    for a, b in pairs:
+        src, dst = hosts[a], hosts[b]
+        path = _links(nx.shortest_path(g, src, dst))
+        assert sets[a, b] == sets[b, a] == set(path)
+        assert topo.route(src, dst) == path
+        assert topo.route(dst, src) == path[::-1]
+        path = _links(nx.shortest_path(g, dst, src))
+        assert backward.route(dst, src) == path
+        assert backward.route(src, dst) == path[::-1]
+
+    chains = topo.up_chains()
+    if nx.is_tree(g):
+        ancestors, link_ids = _nx_up_chains(g, topo)
+        assert np.array_equal(chains.ancestors, ancestors)
+        assert np.array_equal(chains.link_ids, link_ids)
+    else:
+        assert chains is None
+
+    # live components, on the topology and in the data plane
+    live = g.copy()
+    live.remove_edges_from(down)
+    host_set = set(hosts)
+    comps = [c & host_set for c in nx.connected_components(live)]
+    comps = [c for c in comps if c]
+    assert topo.host_components(down) == comps
+    net = FlowNetwork(Simulator(), topo)
+    for link in down:
+        net.set_link_down(link)
+    main = max(comps, key=lambda c: (len(c), sorted(c)))
+    assert net.isolated_hosts() == host_set - main
+
+    # equal-cost paths of a link-state fabric on the same graph
+    fabric = FabricTopology(g, routing="linkstate")
+    for link in down:
+        fabric.mark_link_down(link)
+    for a, b in pairs:
+        src, dst = hosts[a], hosts[b]
+        if nx.has_path(live, src, dst):
+            want = sorted(nx.all_shortest_paths(live, src, dst))
+        else:
+            want = []
+        assert fabric.equal_cost_paths(src, dst) == [_links(p) for p in want]
+
+
+down_picks = st.lists(st.integers(0, 10**6), max_size=4)
+
+
+class TestNetworkxOracle:
+    """The simulator's own graph code against networkx, run on the very
+    ``nx.Graph`` the topologies were built from."""
+
+    @given(g=shuffled_graphs(), picks=down_picks)
+    @settings(max_examples=60, deadline=None)
+    def test_shuffled_random_graphs(self, g, picks):
+        check_against_networkx(g, picks)
+
+    @given(g=tree_graphs(internal_hosts=True), picks=down_picks)
+    @settings(max_examples=30, deadline=None)
+    def test_trees_with_internal_hosts(self, g, picks):
+        check_against_networkx(g, picks)
+
+    @given(k=st.sampled_from([4, 6]), picks=down_picks)
+    @settings(max_examples=6, deadline=None)
+    def test_clos(self, k, picks):
+        check_against_networkx(to_networkx(fat_tree_graph(k)), picks)
