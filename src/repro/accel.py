@@ -7,10 +7,12 @@ No JIT package is assumed; instead this module compiles a ~100-line C
 translation of the loop with the *system* C compiler the first time it
 is needed and loads it through :mod:`ctypes`.  There is exactly one C
 refill: it runs against a persistent link→flows membership that
-``FlowNetwork`` mirrors into C on every flow attach/detach.  No
-compiler, a failed build, or ``REPRO_NO_CKERNEL=1`` all leave the fabric
-on the pure-numpy reference (``FlowNetwork._refill_reference``) with
-identical results.
+``FlowNetwork`` mirrors into C on every flow attach/detach.  A fabric
+flow starts in one call (``repro_state_start``: settle, link counts, slot
+fill and membership attach).  No compiler, a failed build, or
+``REPRO_NO_CKERNEL=1`` all leave the fabric on the pure-numpy reference
+(``FlowNetwork._refill_reference``, and ``_register_route``,
+``_settle_all`` and ``_attach`` for a start) with identical results.
 
 Bit-identity contract
 ---------------------
@@ -44,9 +46,10 @@ from typing import Optional
 __all__ = ["refill_kernel"]
 
 # C translation of the FlowNetwork hot path: the max-min refill freeze
-# loop plus the fused settle → drain-detect → refill → horizon tick (see
-# FlowNetwork._refill / FlowNetwork._tick for the algorithm and the
-# bit-identity argument).  Kept dependency-free: C99 + libm only.
+# loop, the fused settle → drain-detect → refill → horizon tick and the
+# one-call flow start (see FlowNetwork._refill / FlowNetwork._tick /
+# FlowNetwork._start_slot for the algorithm and the bit-identity
+# argument).  Kept dependency-free: C99 + libm only.
 _REFILL_SRC = r"""
 #include <stdint.h>
 #include <stdlib.h>
@@ -282,6 +285,41 @@ int repro_state_detach(void *p, int64_t slot)
         st->lens[slot] = tl;
     }
     st->n = tail;
+    return 0;
+}
+
+/* Start one fabric flow in slot `slot` (== the live slot count): settle
+ * every live slot over dt exactly as the tick below does, attach the
+ * route's link membership, count its links as carrying one more flow
+ * (count += 1, seen = 1; a route never repeats a link) and fill the
+ * slot's remaining bytes, rate, cap and route length.  count and seen
+ * hold nL links.  Returns 0, or before anything was written -3 for a
+ * link id outside [0, nL) or an attach error. */
+int repro_state_start(void *p, int64_t slot, double dt, double *rem,
+                      double *rates, double *flow_caps, int64_t *route_lens,
+                      int64_t *count, unsigned char *seen, int64_t nL,
+                      const int64_t *ids, int64_t len, double size,
+                      double cap)
+{
+    for (int64_t r = 0; r < len; r++)
+        if (ids[r] < 0 || ids[r] >= nL)
+            return -3;
+    int rc = repro_state_attach(p, slot, ids, len);
+    if (rc != 0)
+        return rc;
+    if (dt > 0.0)
+        for (int64_t f = 0; f < slot; f++) {
+            double v = rem[f] - rates[f] * dt;
+            rem[f] = v > 0.0 ? v : 0.0;
+        }
+    for (int64_t r = 0; r < len; r++) {
+        count[ids[r]]++;
+        seen[ids[r]] = 1;
+    }
+    rem[slot] = size;
+    rates[slot] = 0.0;
+    flow_caps[slot] = cap;
+    route_lens[slot] = len;
     return 0;
 }
 
@@ -579,6 +617,14 @@ class FabricKernels:
         self.state_detach = lib.repro_state_detach
         self.state_detach.argtypes = [vp, i64]
         self.state_detach.restype = ctypes.c_int
+        self.state_start = lib.repro_state_start
+        # the route ids arrive as bytes: ``ndarray.tobytes()`` costs a
+        # fraction of a ``.ctypes.data`` lookup
+        self.state_start.argtypes = [
+            vp, i64, f64, vp, vp, vp, vp, vp, vp, i64, ctypes.c_char_p, i64,
+            f64, f64,
+        ]
+        self.state_start.restype = ctypes.c_int
         self.tick_state = lib.repro_tick_state
         self.tick_state.argtypes = [
             vp, i64, i64, vp, vp, ctypes.c_int, f64, f64, vp, vp, vp, vp,

@@ -6,8 +6,12 @@ module's import aliases, builds a symbol table (modules, classes by name,
 functions by qualified name), links the class inheritance graph, and
 indexes every *attribute write* in the project — plain assignment,
 augmented assignment, subscript stores (``self._m[k] = v`` mutates
-``_m``), deletes, and calls of known mutating methods
-(``self._m.append(x)`` mutates ``_m``).
+``_m``), deletes, calls of known mutating methods
+(``self._m.append(x)`` mutates ``_m``), and calls of declared C-kernel
+entries, which write arrays through raw pointers the source never names
+at the call: a module-level ``KERNEL_WRITES`` dict literal maps an entry
+name to the ``"Class.attr"`` arrays it writes, and a call statement
+``x.entry(...)`` in a method of that class writes each of them.
 
 Everything is plain ``ast`` — the analyzed project is never imported, so
 the passes work identically on the live tree and on the defect fixtures in
@@ -95,7 +99,7 @@ class Write:
 
     attr: str                     # attribute written
     is_self: bool                 # base expression is the bare name ``self``
-    kind: str                     # "assign" | "aug" | "subscript" | "mutator" | "del"
+    kind: str                     # "assign" | "aug" | "subscript" | "mutator" | "del" | "kernel"
     node: ast.AST                 # node carrying lineno/col_offset
     stmt: ast.stmt                # enclosing statement (guarantee-analysis anchor)
     func: Optional[FunctionInfo]  # None for module-level writes
@@ -166,6 +170,8 @@ class Project:
         self.writes_by_attr: Dict[str, List[Write]] = {}
         #: modules that failed to parse: display path -> (lineno, col, msg)
         self.parse_errors: List[Tuple[str, int, int, str]] = []
+        #: C-kernel entry name -> the attributes a call of it writes
+        self.kernel_writes: Dict[str, Tuple[str, ...]] = {}
         self._subclasses: Dict[str, Set[str]] = {}
 
     # ------------------------------------------------------------------
@@ -181,6 +187,7 @@ class Project:
         parts name the module (``repro/engine/task.py`` is
         ``repro.engine.task``)."""
         project = cls()
+        parsed: List[ModuleInfo] = []
         for display, scope, source in sources:
             try:
                 tree = ast.parse(source, filename=display)
@@ -196,6 +203,10 @@ class Project:
                 imports=_import_aliases(tree),
             )
             project.modules[name] = info
+            parsed.append(info)
+        for info in parsed:
+            project._declare_kernel_writes(info.tree)
+        for info in parsed:
             project._index_module(info)
         project._link_hierarchy()
         return project
@@ -208,6 +219,26 @@ class Project:
     # ------------------------------------------------------------------
     # indexing
     # ------------------------------------------------------------------
+    def _declare_kernel_writes(self, tree: ast.Module) -> None:
+        for stmt in tree.body:
+            if (
+                isinstance(stmt, ast.Assign)
+                and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Name)
+                and stmt.targets[0].id == "KERNEL_WRITES"
+                and isinstance(stmt.value, ast.Dict)
+            ):
+                for key, value in zip(stmt.value.keys, stmt.value.values):
+                    if isinstance(key, ast.Constant) and isinstance(
+                        value, (ast.Tuple, ast.List)
+                    ):
+                        self.kernel_writes[key.value] = tuple(
+                            elt.value.rsplit(".", 1)[-1]
+                            for elt in value.elts
+                            if isinstance(elt, ast.Constant)
+                            and isinstance(elt.value, str)
+                        )
+
     def _index_module(self, module: ModuleInfo) -> None:
         for stmt in module.tree.body:
             if isinstance(stmt, ast.ClassDef):
@@ -257,14 +288,20 @@ class Project:
     def _collect_writes(
         self, module: ModuleInfo, func: Optional[FunctionInfo], stmt: ast.stmt
     ) -> None:
-        def record(attr_node: ast.Attribute, kind: str) -> None:
+        def record(
+            attr_node: ast.Attribute, kind: str, attr: Optional[str] = None
+        ) -> None:
             base = attr_node.value
-            is_self = isinstance(base, ast.Name) and base.id == "self"
+            # a kernel call writes its declared arrays on ``self``
+            is_self = kind == "kernel" or (
+                isinstance(base, ast.Name) and base.id == "self"
+            )
+            attr = attr or attr_node.attr
             write = Write(
-                attr=attr_node.attr, is_self=is_self, kind=kind,
+                attr=attr, is_self=is_self, kind=kind,
                 node=attr_node, stmt=stmt, func=func, module=module,
             )
-            self.writes_by_attr.setdefault(attr_node.attr, []).append(write)
+            self.writes_by_attr.setdefault(attr, []).append(write)
             if func is not None:
                 func.writes.append(write)
 
@@ -288,6 +325,13 @@ class Project:
                 base = _base_attribute(callee.value)
                 if base is not None:
                     record(base, "mutator")
+        if (
+            isinstance(stmt, (ast.Expr, ast.Assign))
+            and isinstance(stmt.value, ast.Call)
+            and isinstance(stmt.value.func, ast.Attribute)
+        ):
+            for attr in self.kernel_writes.get(stmt.value.func.attr, ()):
+                record(stmt.value.func, "kernel", attr)
 
     def _link_hierarchy(self) -> None:
         for name, infos in self.classes.items():

@@ -35,6 +35,11 @@ Performance design (shaped by profiling — see the optimisation guide's
   parallel arrays, so settling, progressive filling, and next-completion
   prediction are all vectorised; detaching swap-removes a slot in O(route
   length).
+* **Link ids from the topology up, one kernel call per start**: a flow's
+  route arrives as the id array of :meth:`Topology.route_ids_for_flow`
+  (``Flow.route``, the link keys, is derived only when read), and a fabric
+  flow starts in one C-kernel call that settles every slot, counts the
+  route's links, fills the new slot and attaches its link membership.
 * **Per-link arrays over the one link table**: live flow count, capacity
   factor and effective capacity of every topology link, indexed by the
   same ids the route tensor, the tree up-chains and the C kernel use.
@@ -79,12 +84,26 @@ CACHE_DEPS = {
             "FlowNetwork._finite_caps",
         ),
         "reference": "_refill_reference",
-        "maintainers": ("_attach", "_detach", "start_flow"),
+        "maintainers": (
+            "_attach", "_detach", "start_flow", "_start_slot", "_grow_slots",
+        ),
     },
+}
+
+#: The arrays a C-kernel entry writes through raw pointers, for entries
+#: that write a declared cache input.  ``repro check`` counts a call of the
+#: entry as a write of each one, so it needs its invalidation like any
+#: other write.
+KERNEL_WRITES = {
+    "state_start": (
+        "FlowNetwork._count", "FlowNetwork._seen", "FlowNetwork._rem",
+        "FlowNetwork._rates", "FlowNetwork._caps", "FlowNetwork._route_lens",
+    ),
 }
 
 _EPS_BYTES = 1e-3  # byte tolerance when deciding a flow has drained
 _NO_SLOT = -1
+_ID_DTYPE = np.dtype(np.int64)  # of route link ids, read by the C kernel
 
 
 class Flow:
@@ -96,9 +115,9 @@ class Flow:
     """
 
     __slots__ = (
-        "fid", "src", "dst", "size", "on_complete", "route", "route_ids",
-        "max_rate", "start_time", "end_time", "cancelled", "_completion",
-        "_net", "_slot", "_remaining", "_rate", "_last_update",
+        "fid", "src", "dst", "size", "on_complete", "route_ids", "max_rate",
+        "start_time", "end_time", "cancelled", "_completion", "_net",
+        "_slot", "_remaining", "_rate", "_last_update",
     )
 
     def __init__(
@@ -108,7 +127,7 @@ class Flow:
         dst: str,
         size: float,
         on_complete: Optional[Callable[["Flow"], None]],
-        route: List[LinkKey],
+        route_ids: np.ndarray,
         max_rate: float,
         start_time: float,
         net: "FlowNetwork",
@@ -118,8 +137,8 @@ class Flow:
         self.dst = dst
         self.size = size
         self.on_complete = on_complete
-        self.route = route
-        self.route_ids: Optional[np.ndarray] = None
+        #: the route as :meth:`Topology.link_table` ids (empty when local)
+        self.route_ids = route_ids
         self.max_rate = max_rate
         self.start_time = start_time
         self.end_time: Optional[float] = None
@@ -132,6 +151,11 @@ class Flow:
         self._last_update = start_time
 
     # -- state views ------------------------------------------------------
+    @property
+    def route(self) -> List[LinkKey]:
+        """The route's link keys, derived from :attr:`route_ids` per read."""
+        return self._net.topology.link_keys(self.route_ids)
+
     @property
     def remaining(self) -> float:
         """Bytes left as of the network's last settle point."""
@@ -236,8 +260,10 @@ class FlowNetwork:
         self._seen = np.zeros(n_links, dtype=bool)
         # failed links (fault injection): effective capacity 0.  Every
         # consumer fast-paths on the empty set, so zero-fault runs are
-        # byte-identical to builds without fabric fault tolerance.
+        # byte-identical to builds without fabric fault tolerance.  The
+        # id set holds the same links by link-table id.
         self._down_links: Set[LinkKey] = set()
+        self._down_ids: Set[int] = set()
         self._down_version = 0
         self._iso_cache: Optional[frozenset] = None
         self._iso_version = -1
@@ -306,11 +332,18 @@ class FlowNetwork:
             dst=dst,
             size=float(size),
             on_complete=on_complete,
-            route=self.topology.route_for_flow(src, dst, self._next_fid),
+            route_ids=self.topology.route_ids_for_flow(
+                src, dst, self._next_fid
+            ),
             max_rate=max_rate,
             start_time=self.sim.now,
             net=self,
         )
+        if flow.route_ids.dtype != _ID_DTYPE:
+            raise TypeError(
+                f"{type(self.topology).__name__}.route_ids_for_flow returned "
+                f"{flow.route_ids.dtype} link ids, not int64"
+            )
         self._next_fid += 1
         self.flows_started += 1
 
@@ -330,50 +363,89 @@ class FlowNetwork:
             )
             return flow
 
-        # register route links and attach to a state slot
-        flow.route_ids = self._register_route(flow.route)
-        self._settle_all()
-        self._attach(flow)
+        if self._kern is not None:
+            self._start_slot(flow)
+        else:
+            # the numpy reference of _start_slot's one kernel call
+            self._register_route(flow.route_ids)
+            self._settle_all()
+            self._attach(flow)
         self._mark_dirty()
         return flow
 
-    def _register_route(self, route: List[LinkKey]) -> np.ndarray:
-        """Count a route's links as carrying one more flow; returns their ids.
+    def _start_slot(self, flow: Flow) -> None:
+        """Attach a new fabric flow in one C-kernel call.
+
+        ``state_start`` settles every slot to the current instant as
+        :meth:`_settle_all` does (the tick kernel's ``rem - rate * dt``,
+        clamped at 0), counts the route's links as :meth:`_register_route`
+        does, and fills the new slot and its C-side link membership as
+        :meth:`_attach` does.  The Python-side bookkeeping stays here.
+        """
+        slot = len(self._flows)
+        if slot == len(self._rem):
+            self._grow_slots()
+        ids = flow.route_ids
+        args = self._kernel_args()
+        now = self.sim.now
+        rc = self._kern.state_start(
+            self._cstate, slot, now - self._last_settle, args[2], args[3],
+            args[1], args[6], args[7], args[8], len(self._eff),
+            ids.tobytes(), len(ids), flow.size, flow.max_rate,
+        )
+        self.epoch += 1  # the kernel counted the route's links
+        if rc != 0:
+            raise self._cstate_error("start", rc)
+        self._last_settle = now
+        self._flows.append(flow)
+        self._routes.append(ids)
+        if math.isfinite(flow.max_rate):
+            self._finite_caps += 1
+        flow._slot = slot
+
+    def _register_route(self, ids: np.ndarray) -> None:
+        """Count a route's links as carrying one more flow.
 
         Bumps ``epoch`` itself: the per-link flow counts feed
         :meth:`rate_matrix`, so registration must invalidate it on every
         path.  A route never repeats a link, so the fancy-index ``+=``
         counts each once.
         """
-        table = self._table
-        ids = np.array([table[link] for link in route], dtype=np.int64)
         self._count[ids] += 1
         self._seen[ids] = True
         self.epoch += 1
-        return ids
 
-    def reroute_flow(self, flow: Flow, route: List[LinkKey]) -> bool:
-        """Migrate an in-flight fabric flow onto ``route``, conserving bytes.
+    def reroute_flow(self, flow: Flow, route_ids: np.ndarray) -> bool:
+        """Migrate an in-flight fabric flow onto ``route_ids``, conserving
+        bytes.
 
-        The flow is settled at the current instant, detached from its old
-        links, re-attached on the new ones with its remaining byte count
-        carried over, and rates are recomputed via a zero-delay tick.  Used
-        by the link-state control plane when the fabric converges after a
+        ``route_ids`` are :meth:`Topology.link_table` ids, as
+        :meth:`Topology.route_ids_for_flow` returns them.  The flow is
+        settled at the current instant, detached from its old links,
+        re-attached on the new ones with its remaining byte count carried
+        over, and rates are recomputed via a zero-delay tick.  Used by the
+        link-state control plane when the fabric converges after a
         failure.  No-op (returns False) for finished/cancelled/local flows
         or when the route is unchanged.
         """
         if flow.done or flow.cancelled or flow._slot == _NO_SLOT:
             return False
-        if route == flow.route:
+        route_ids = np.asarray(route_ids, dtype=np.int64)
+        if np.array_equal(route_ids, flow.route_ids):
             return False
+        if len(route_ids) and not (
+            0 <= route_ids.min() and route_ids.max() < len(self._count)
+        ):
+            # checked before the flow leaves its old links
+            raise ValueError(f"route {route_ids.tolist()} leaves the link table")
         self._settle_all()
         if self._refill_deferred:
             # the remaining-byte snapshot below must integrate a fresh rate
             self._flush_refill()
         remaining = float(self._rem[flow._slot])
         self._detach(flow)
-        flow.route = route
-        flow.route_ids = self._register_route(route)
+        flow.route_ids = route_ids
+        self._register_route(route_ids)
         self._attach(flow)
         # _attach resets the slot to the full flow size; restore progress
         self._rem[flow._slot] = remaining
@@ -461,18 +533,18 @@ class FlowNetwork:
         """
         if not (factor > 0.0) or math.isinf(factor):
             raise ValueError(f"capacity factor must be finite and > 0, got {factor}")
-        link, lid = self._lookup(link)
+        lid = self._lookup(link)[1]
         self._factor[lid] = factor
-        self._set_capacity(lid, link)
+        self._set_capacity(lid)
 
-    def _set_capacity(self, lid: int, link: LinkKey) -> None:
+    def _set_capacity(self, lid: int) -> None:
         """Refresh a link's effective capacity after a factor or up/down change.
 
         Bumps ``epoch`` even when the link carries no flow: path rates read
         every route link's capacity.  Only a link that has ever carried a
         flow settles the fabric and marks it for a new tick.
         """
-        down = link in self._down_links
+        down = lid in self._down_ids
         self._eff[lid] = 0.0 if down else self._nominal[lid] * self._factor[lid]
         self.epoch += 1
         if self._seen[lid]:
@@ -487,6 +559,11 @@ class FlowNetwork:
         """The currently failed links (read-only view)."""
         return self._down_links
 
+    @property
+    def down_ids(self) -> Set[int]:
+        """The currently failed links by link-table id (read-only view)."""
+        return self._down_ids
+
     def set_link_down(self, link: LinkKey) -> bool:
         """Fail a link: its effective capacity drops to zero.
 
@@ -499,8 +576,9 @@ class FlowNetwork:
         if link in self._down_links:
             return False
         self._down_links.add(link)
+        self._down_ids.add(lid)
         self._down_version += 1
-        self._set_capacity(lid, link)
+        self._set_capacity(lid)
         return True
 
     def set_link_up(self, link: LinkKey) -> bool:
@@ -509,8 +587,9 @@ class FlowNetwork:
         if link not in self._down_links:
             return False
         self._down_links.discard(link)
+        self._down_ids.discard(lid)
         self._down_version += 1
-        self._set_capacity(lid, link)
+        self._set_capacity(lid)
         return True
 
     def pair_blocked(self, src: str, dst: str) -> bool:
@@ -523,8 +602,8 @@ class FlowNetwork:
         """
         if not self._down_links or src == dst:
             return False
-        down = self._down_links
-        return any(link in down for link in self.topology.route(src, dst))
+        route = self.topology.route_ids(src, dst).tolist()
+        return not self._down_ids.isdisjoint(route)
 
     def note_route_change(self) -> None:
         """Invalidate rate caches after a routing-table change.
@@ -565,9 +644,8 @@ class FlowNetwork:
         if src == dst:
             return self.local_bandwidth
         rate = math.inf
-        table, eff, count = self._table, self._eff, self._count
-        for link in self.topology.route(src, dst):
-            lid = table[link]
+        eff, count = self._eff, self._count
+        for lid in self.topology.route_ids(src, dst).tolist():
             rate = min(rate, float(eff[lid]) / (int(count[lid]) + 1))
         return rate
 
@@ -648,20 +726,25 @@ class FlowNetwork:
         """The C membership mirror failed: a bug, never papered over."""
         return RuntimeError(
             f"C fabric state {op} failed with rc={rc} (-1 allocation "
-            f"failure, -3 mirror out of sync) at {len(self._flows)} live "
-            "fabric flows"
+            f"failure, -3 mirror out of sync or a route link id outside "
+            f"the link table) at {len(self._flows)} live fabric flows"
         )
+
+    def _grow_slots(self) -> None:
+        """Double the capacity of every slot array (they grow together)."""
+        slot = len(self._rem)
+        self._rem = np.concatenate([self._rem, np.zeros(slot)])
+        self._rates = np.concatenate([self._rates, np.zeros(slot)])
+        self._caps = np.concatenate([self._caps, np.zeros(slot)])
+        self._route_lens = np.concatenate(
+            [self._route_lens, np.zeros(slot, dtype=np.int64)]
+        )
+        self._drained_buf = np.zeros(2 * slot, dtype=np.int64)
 
     def _attach(self, flow: Flow) -> None:
         slot = len(self._flows)
-        if slot == len(self._rem):  # grow capacity
-            self._rem = np.concatenate([self._rem, np.zeros(slot)])
-            self._rates = np.concatenate([self._rates, np.zeros(slot)])
-            self._caps = np.concatenate([self._caps, np.zeros(slot)])
-            self._route_lens = np.concatenate(
-                [self._route_lens, np.zeros(slot, dtype=np.int64)]
-            )
-            self._drained_buf = np.zeros(2 * slot, dtype=np.int64)
+        if slot == len(self._rem):
+            self._grow_slots()
         ids = flow.route_ids
         self._flows.append(flow)
         self._routes.append(ids)
@@ -876,9 +959,10 @@ class FlowNetwork:
         ctypes ``data_as()`` conversions cost more than the kernels
         themselves at the fabric's call rates, and the hot arrays only
         change object identity when they grow (the slot arrays all grow
-        together in :meth:`_attach`; the per-link arrays never do) — so
+        together in :meth:`_grow_slots`; the per-link arrays never do) — so
         the pointer tuple is rebuilt only on an identity miss.  Returns
-        ``(caps_p, fcaps_p, rem_p, rates_p, drained_p, horizon_p)``.
+        ``(caps_p, fcaps_p, rem_p, rates_p, drained_p, horizon_p,
+        route_lens_p, count_p, seen_p)``.
         """
         ptrs = self._kern_ptrs
         if ptrs is not None and ptrs[0] is self._rem:
@@ -890,6 +974,9 @@ class FlowNetwork:
             self._rates.ctypes.data,
             self._drained_buf.ctypes.data,
             self._horizon_buf.ctypes.data,
+            self._route_lens.ctypes.data,
+            self._count.ctypes.data,
+            self._seen.ctypes.data,
         )
         self._kern_ptrs = (self._rem, args)
         return args

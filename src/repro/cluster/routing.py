@@ -126,12 +126,14 @@ class RoutingController:
         # a pair with no live path keeps its stale route (parked at rate 0)
         migrated = 0
         if physical:
-            down = net.down_links
+            down = net.down_ids
             for flow in list(net._flows):
-                if not any(link in down for link in flow.route):
+                if down.isdisjoint(flow.route_ids.tolist()):
                     continue
-                new_route = topo.route_for_flow(flow.src, flow.dst, flow.fid)
-                if any(link in down for link in new_route):
+                new_route = topo.route_ids_for_flow(
+                    flow.src, flow.dst, flow.fid
+                )
+                if not down.isdisjoint(new_route.tolist()):
                     continue  # partitioned: stay parked until a heal
                 if net.reroute_flow(flow, new_route):
                     migrated += 1

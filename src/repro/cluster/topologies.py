@@ -31,7 +31,7 @@ Path selection is deterministic: a pair's candidates are its equal-cost
 shortest paths sorted by node-name sequence, and ECMP picks number
 ``crc32(f"{src}|{dst}|{fid}") % n`` — a pure function of the (seeded) flow
 id, so same-seed runs stay byte-identical.  The list is never enumerated
-to pick one path.  A BFS records each node's distance and shortest-path
+to pick one path.  A BFS records each vertex's distance and shortest-path
 count toward ``dst`` over a name-sorted adjacency; path ``h`` is *unranked*
 by walking from ``src``, trying the one-hop-closer neighbours in name order
 and subtracting each one's count until ``h`` fits.  That is exactly entry
@@ -41,17 +41,20 @@ and subtracting each one's count until ``h`` fits.  That is exactly entry
 with one live neighbour — a host on its edge switch — shares that
 neighbour's record, whose counts are its own, so there is one BFS per
 attachment switch (plus one per multi-homed destination) and routing
-version.  The records and the adjacency are nominal and kept for good
-under ``static``/``ecmp``, and dropped on every routing change under
-``linkstate``.
+version.  Records are lists over vertex numbers, the adjacency holds
+name-sorted ``(vertex, link id)`` pairs built once from the nominal graph,
+and the walk appends link ids, so a route is picked without building a
+link key.  Under ``static``/``ecmp`` the records are kept for good; under
+``linkstate`` the live adjacency is the nominal one minus the down link
+ids, and it and the records are dropped on every routing change.
 
 Known wart: a pair's order follows whichever direction was queried first
 (since the last routing change, under ``linkstate``), and the other
 direction gets the same paths reversed, in the same order — which need not
 be its own sorted order.  Data-plane reads such as
-``FlowNetwork.pair_blocked`` call :meth:`route` and so fix the orientation
-too.  Making the order canonical changes traces and is left to its own
-change.
+``FlowNetwork.pair_blocked`` call :meth:`FabricTopology.route_ids` and so
+fix the orientation too.  Making the order canonical changes traces and is
+left to its own change.
 
 When a pair has **no** live path the fabric keeps the last advertised route
 as a *partitioned sentinel*: that route necessarily crosses a down link, so
@@ -70,6 +73,7 @@ from repro.units import Gbps
 
 from repro.cluster.graph import GraphLike
 from repro.cluster.topology import (
+    _NO_LINKS,
     GraphTopology,
     LinkKey,
     Topology,
@@ -85,6 +89,10 @@ __all__ = [
 
 #: Closed set of fabric routing policies.
 ROUTING_POLICIES = ("static", "ecmp", "linkstate")
+
+#: a BFS record as read: (link id into the destination, or -1;
+#: distance by vertex; shortest-path count by vertex)
+_Record = Tuple[int, List[int], List[int]]
 
 
 class FabricTopology(GraphTopology):
@@ -108,19 +116,21 @@ class FabricTopology(GraphTopology):
         #: Monotone routing-table version; bumped on every mark_link_* call.
         self.route_version = 0
         self.down_links: Set[LinkKey] = set()
-        # name-sorted adjacency of the routing graph and, per BFS root (a
-        # destination, or the one live neighbour of a single-homed one),
-        # (distance, shortest-path count) toward it.  Nominal and kept for
-        # good under ``static``/``ecmp``; dropped on every routing-table
-        # change under ``linkstate``, with the orientation memo.
-        self._adj: Optional[Dict[str, List[str]]] = None
-        self._toward: Dict[str, Tuple[Dict[str, int], Dict[str, int]]] = {}
+        # vertex numbers in graph order; each vertex's name-sorted
+        # (vertex, link id) neighbours, nominal and live; per BFS root
+        # vertex (a destination, or the one live neighbour of a
+        # single-homed one) every vertex's distance and shortest-path
+        # count toward it (-1 and 0 when unreached).
+        self._vertex = {v: i for i, v in enumerate(self.graph.adj)}
+        self._nominal_adj: Optional[List[List[Tuple[int, int]]]] = None
+        self._adj: Optional[List[List[Tuple[int, int]]]] = None
+        self._toward: Dict[int, Tuple[List[int], List[int]]] = {}
         #: BFS records built so far (a work counter; never reset)
         self.bfs_runs = 0
-        # the first-queried (src, dst) orientation of each unordered pair
-        self._first: Set[Tuple[str, str]] = set()
-        # last advertised route per pair — the partitioned sentinel.
-        self._advertised: Dict[Tuple[str, str], List[LinkKey]] = {}
+        # the first-queried (src, dst) vertex orientation of each pair
+        self._first: Set[Tuple[int, int]] = set()
+        # last advertised route ids per pair — the partitioned sentinel.
+        self._advertised: Dict[Tuple[str, str], np.ndarray] = {}
 
     # -- control-plane interface ---------------------------------------
     def mark_link_down(self, link: LinkKey) -> bool:
@@ -158,86 +168,112 @@ class FabricTopology(GraphTopology):
         return n * (n - 1) // 2 - connected
 
     # -- routing --------------------------------------------------------
-    def _record(self, dst: str) -> Tuple[str, Dict[str, int], Dict[str, int]]:
-        """``(root, dist, count)``: BFS distance and shortest-path count of
-        each node toward ``root``, which stands in for ``dst``.
+    def _routing_adjacency(self) -> List[List[Tuple[int, int]]]:
+        """Each vertex's live ``(vertex, link id)`` neighbours, by name."""
+        nominal = self._nominal_adj
+        if nominal is None:
+            adj, vertex = self.graph.adj, self._vertex
+            table = self.link_table()
+            nominal = self._nominal_adj = [
+                [(vertex[v], table[_canon(u, v)]) for v in sorted(adj[u])]
+                for u in adj
+            ]
+        if self.routing != "linkstate" or not self.down_links:
+            return nominal
+        down = {self.link_table()[link] for link in self.down_links}
+        return [[(v, e) for v, e in nbrs if e not in down] for nbrs in nominal]
+
+    def _record(self, dst: int) -> _Record:
+        """``(link, dist, count)``: BFS distance and shortest-path count of
+        each vertex toward a root that stands in for ``dst``.
 
         A ``dst`` with exactly one live neighbour ``e`` (a host on its
         attachment switch) is reached only through ``e``, so for every
-        other node ``v``, ``dist_dst(v) = dist_e(v) + 1`` and
-        ``count_dst(v) = count_e(v)``: ``root`` is ``e``, whose record
-        every host on it shares.  Any other ``dst`` is its own root.
+        other vertex ``v``, ``dist_dst(v) = dist_e(v) + 1`` and
+        ``count_dst(v) = count_e(v)``: the root is ``e``, whose record
+        every host on it shares, and ``link`` is the id of the link from
+        ``e`` to ``dst``.  Any other ``dst`` is its own root (``link`` -1).
         """
         adj = self._adj
         if adj is None:
-            down = self.down_links if self.routing == "linkstate" else ()
-            adj = self._adj = {
-                u: sorted(nbrs) for u, nbrs in self.graph.adjacency(down).items()
-            }
+            adj = self._adj = self._routing_adjacency()
         nbrs = adj[dst]
-        root = nbrs[0] if len(nbrs) == 1 else dst
+        root, link = nbrs[0] if len(nbrs) == 1 else (dst, -1)
         rec = self._toward.get(root)
         if rec is None:
             self.bfs_runs += 1
-            dist = {root: 0}
-            count = {root: 1}
+            dist = [-1] * len(adj)
+            count = [0] * len(adj)
+            dist[root] = 0
+            count[root] = 1
             queue = [root]
             for u in queue:
                 du = dist[u] + 1
                 cu = count[u]
-                for v in adj[u]:
-                    dv = dist.get(v)
-                    if dv is None:
+                for v, _ in adj[u]:
+                    dv = dist[v]
+                    if dv < 0:
                         dist[v] = du
                         count[v] = cu
                         queue.append(v)
                     elif dv == du:
                         count[v] += cu
             rec = self._toward[root] = (dist, count)
-        return (root, *rec)
+        return (link, *rec)
 
-    def _oriented(self, src: str, dst: str) -> Tuple[str, str, int]:
-        """The pair's ranking orientation ``(a, b)`` and its path count.
+    def _oriented(
+        self, src: str, dst: str
+    ) -> Tuple[int, int, bool, Optional[_Record]]:
+        """``(a, n, forward, rec)``: the pair's ranking source vertex, its
+        path count, whether ``a`` is ``src``, and the record toward the
+        other end.
 
-        ``(a, b)`` is whichever of ``src → dst`` and ``dst → src`` was
-        queried first since the last routing change; the count is 0 when
-        the pair is partitioned, equal or unknown.
+        The ranking orientation is whichever of ``src → dst`` and
+        ``dst → src`` was queried first since the last routing change; the
+        count is 0 (and ``rec`` None when no record is read) when the pair
+        is partitioned, equal or unknown.
         """
-        nodes = self.graph.nodes
-        if src == dst or src not in nodes or dst not in nodes:
-            return src, dst, 0
-        if (dst, src) in self._first:
-            src, dst = dst, src
+        a = self._vertex.get(src)
+        b = self._vertex.get(dst)
+        if a is None or b is None or a == b:
+            return -1, 0, True, None
+        forward = (b, a) not in self._first
+        if forward:
+            self._first.add((a, b))
         else:
-            self._first.add((src, dst))
-        return src, dst, self._record(dst)[2].get(src, 0)
+            a, b = b, a
+        rec = self._record(b)
+        return a, rec[2][a], forward, rec
 
-    def _unrank(self, a: str, b: str, h: int, src: str) -> List[LinkKey]:
-        """Path ``h`` of the sorted ``a → b`` equal-cost list, from ``src``.
+    def _unrank(
+        self, a: int, h: int, forward: bool, rec: _Record
+    ) -> List[int]:
+        """Link ids of path ``h`` of the sorted equal-cost list from ``a``
+        toward ``rec``'s destination, reversed unless ``forward``.
 
-        At each hop take the first name-ordered neighbour one hop closer to
-        ``b`` whose path count exceeds what is left of ``h``, subtracting
-        the counts skipped over.  Toward a shared root, the walk ends at
-        the root and the last hop is the root's link to ``b``.
+        At each hop take the first name-ordered neighbour one hop closer
+        whose path count exceeds what is left of ``h``, subtracting the
+        counts skipped over.  Toward a shared root, the walk ends at the
+        root and the last hop is the root's link to the destination.
         """
-        root, dist, count = self._record(b)
+        link, dist, count = rec
         adj = self._adj
         path = []
         u = a
         d = dist[a]
         while d:
             d -= 1
-            for v in adj[u]:
-                if dist.get(v) == d:
+            for v, e in adj[u]:
+                if dist[v] == d:
                     c = count[v]
                     if h < c:
                         break
                     h -= c
-            path.append(_canon(u, v))
+            path.append(e)
             u = v
-        if root != b:
-            path.append(_canon(root, b))
-        if a != src:
+        if link >= 0:
+            path.append(link)
+        if not forward:
             path.reverse()
         return path
 
@@ -247,29 +283,39 @@ class FabricTopology(GraphTopology):
         Computed on the nominal graph for ``static``/``ecmp`` and on the
         live graph for ``linkstate``.  Empty when the pair is partitioned.
         """
-        a, b, n = self._oriented(src, dst)
-        return [self._unrank(a, b, h, src) for h in range(n)]
+        a, n, forward, rec = self._oriented(src, dst)
+        return [
+            self.link_keys(self._unrank(a, h, forward, rec)) for h in range(n)
+        ]
 
     def route(self, src: str, dst: str) -> List[LinkKey]:
+        """:meth:`route_ids` as link keys."""
+        if self.routing == "static":
+            return super().route(src, dst)
+        return self.link_keys(self.route_ids(src, dst))
+
+    def route_ids(self, src: str, dst: str) -> np.ndarray:
         """Representative route for the pair (the first equal-cost path).
 
         This is what rate estimation (``rate_matrix``/``path_rate``) sees;
         individual flows spread over the full set via
-        :meth:`route_for_flow`.  A partitioned pair keeps its last
+        :meth:`route_ids_for_flow`.  A partitioned pair keeps its last
         advertised route, which crosses a down link by construction.
         """
         if self.routing == "static":
-            return super().route(src, dst)
+            return super().route_ids(src, dst)
         if src == dst:
-            return []
-        a, b, n = self._oriented(src, dst)
+            return _NO_LINKS
+        a, n, forward, rec = self._oriented(src, dst)
         if not n:
             stale = self._advertised.get((src, dst))
             # a pair that never routed falls back to the nominal path; with
             # no live path every nominal route crosses a down link too.
-            return stale if stale is not None else super().route(src, dst)
-        path = self._advertised[(src, dst)] = self._unrank(a, b, 0, src)
-        return path
+            return stale if stale is not None else super().route_ids(src, dst)
+        ids = self._advertised[(src, dst)] = np.array(
+            self._unrank(a, 0, forward, rec), dtype=np.int64
+        )
+        return ids
 
     def route_tensor(self) -> np.ndarray:
         """BFS tensor under ``static``; the per-pair reference otherwise."""
@@ -277,14 +323,14 @@ class FabricTopology(GraphTopology):
             return super().route_tensor()
         return Topology.route_tensor(self)
 
-    def route_for_flow(self, src: str, dst: str, fid: int) -> List[LinkKey]:
+    def route_ids_for_flow(self, src: str, dst: str, fid: int) -> np.ndarray:
         if self.routing == "static" or src == dst:
-            return self.route(src, dst)
-        a, b, n = self._oriented(src, dst)
+            return self.route_ids(src, dst)
+        a, n, forward, rec = self._oriented(src, dst)
         if not n:
-            return self.route(src, dst)  # partitioned sentinel
+            return self.route_ids(src, dst)  # partitioned sentinel
         h = zlib.crc32(f"{src}|{dst}|{fid}".encode()) % n if n > 1 else 0
-        return self._unrank(a, b, h, src)
+        return np.array(self._unrank(a, h, forward, rec), dtype=np.int64)
 
 
 def clos_topology(

@@ -7,8 +7,10 @@ transmission rate (Section II-B-3).  This module supplies both:
 
 * :class:`GraphTopology` — a switch/host graph
   (:class:`~repro.cluster.graph.Graph`) with per-link capacities.  Hop
-  counts come from shortest paths; routes (read off the up-chains on a
-  tree) are cached and fed to the flow-level network simulator.  A graph
+  counts come from shortest paths.  The flow-level network simulator
+  takes each flow's route as link ids (:meth:`Topology.route_ids_for_flow`),
+  read straight off the up-chains on a tree; elsewhere shortest-path
+  routes are cached per pair.  A graph
   whose hosts are not all connected is rejected by
   :meth:`~GraphTopology.hop_matrix`.  The route tensor behind
   ``FlowNetwork.rate_matrix`` comes from one BFS per host; a tree graph
@@ -48,8 +50,12 @@ __all__ = [
 ]
 
 LinkKey = Tuple[Hashable, Hashable]
-#: per-host ancestor and link-id rows of :class:`UpChains`, and link keys by id
-_TreeWalks = Tuple[List[List[int]], List[List[int]], List[LinkKey]]
+#: per-host ancestor rows of :class:`UpChains`, and each host's link-id row
+#: cut after its own level
+_TreeWalks = Tuple[List[List[int]], List[List[int]]]
+#: the route of a node-local pair
+_NO_LINKS = np.empty(0, dtype=np.int64)
+_NO_LINKS.setflags(write=False)
 
 
 def _canon(u: Hashable, v: Hashable) -> LinkKey:
@@ -78,12 +84,15 @@ class Topology:
     """Abstract interface shared by graph- and matrix-backed topologies.
 
     A topology knows the *host* (compute-node) names, their rack labels, the
-    pairwise hop matrix, and — for flow simulation — the route (sequence of
-    link keys) between any two hosts together with each link's capacity.
+    pairwise hop matrix, and — for flow simulation — the route between any
+    two hosts together with each link's capacity.  A route is a sequence of
+    :meth:`link_table` ids (:meth:`route_ids`); :meth:`route` is its view
+    as link keys.
     """
 
     hosts: List[str]
     _link_table: Optional[Dict[LinkKey, int]] = None
+    _link_keys: Optional[List[LinkKey]] = None
 
     def host_index(self, name: str) -> int:
         return self._host_index[name]
@@ -99,14 +108,23 @@ class Topology:
         """Ordered link keys along the path ``src → dst`` (empty if equal)."""
         raise NotImplementedError
 
-    def route_for_flow(self, src: str, dst: str, fid: int) -> List[LinkKey]:
-        """Route assigned to one specific flow.
+    def route_ids(self, src: str, dst: str) -> np.ndarray:
+        """:meth:`route` as an ``int64`` array of :meth:`link_table` ids."""
+        return self.link_ids(self.route(src, dst))
+
+    def route_ids_for_flow(self, src: str, dst: str, fid: int) -> np.ndarray:
+        """Link ids of the route assigned to one specific flow.
 
         Single-route topologies ignore ``fid``; multi-path fabrics
         (:class:`repro.cluster.topologies.FabricTopology`) hash it over the
-        equal-cost path set for deterministic ECMP spreading.
+        equal-cost path set for deterministic ECMP spreading.  The array
+        is shared: callers must not write to it.
         """
-        return self.route(src, dst)
+        return self.route_ids(src, dst)
+
+    def route_for_flow(self, src: str, dst: str, fid: int) -> List[LinkKey]:
+        """:meth:`route_ids_for_flow` as link keys."""
+        return self.link_keys(self.route_ids_for_flow(src, dst, fid))
 
     def link_capacity(self, link: LinkKey) -> float:
         raise NotImplementedError
@@ -124,6 +142,18 @@ class Topology:
         if self._link_table is None:
             self._link_table = {link: i for i, link in enumerate(self.links())}
         return self._link_table
+
+    def link_ids(self, links: Iterable[LinkKey]) -> np.ndarray:
+        """The :meth:`link_table` ids of canonical link keys, in order."""
+        table = self.link_table()
+        return np.array([table[link] for link in links], dtype=np.int64)
+
+    def link_keys(self, ids: Iterable[int]) -> List[LinkKey]:
+        """The canonical keys of :meth:`link_table` ids, in order."""
+        keys = self._link_keys
+        if keys is None:
+            keys = self._link_keys = list(self.link_table())
+        return [keys[i] for i in np.asarray(ids, dtype=np.int64).tolist()]
 
     def route_tensor(self) -> np.ndarray:
         """Per-pair route link ids, for the vectorised ``rate_matrix``.
@@ -144,7 +174,7 @@ class Topology:
         max_len = 1
         for a in range(k):
             for b in range(a + 1, k):
-                ids = [table[link] for link in self.route(hosts[a], hosts[b])]
+                ids = self.route_ids(hosts[a], hosts[b])
                 routes[(a, b)] = ids
                 max_len = max(max_len, len(ids))
         tensor = np.full((k, k, max_len), len(table), dtype=np.int64)
@@ -193,7 +223,8 @@ class GraphTopology(Topology):
     everything else is a switch.  Every edge carries a ``capacity``
     attribute in bytes/s.  Shortest-path routes (hop-count metric) are
     computed once per pair and cached.  On a tree each is the unique path,
-    read off :meth:`up_chains`; elsewhere it is the bidirectional BFS of
+    read off :meth:`up_chains` (link ids are read afresh per call, with no
+    cache); elsewhere it is the bidirectional BFS of
     :meth:`Graph.shortest_path <repro.cluster.graph.Graph.shortest_path>`,
     whose tie-break is stable for a fixed construction order.
     """
@@ -245,49 +276,60 @@ class GraphTopology(Topology):
         key = (src, dst)
         cached = self._routes.get(key)
         if cached is None:
-            walks = self._tree_walks()
-            a = self._host_index.get(src)
-            b = self._host_index.get(dst)
-            if walks is None or a is None or b is None:
+            ids = self._tree_route(src, dst)
+            if ids is None:
                 path = self.graph.shortest_path(src, dst)
                 cached = [_canon(u, v) for u, v in zip(path[:-1], path[1:])]
             else:
-                cached = self._tree_route(walks, a, b)
+                cached = self.link_keys(ids)
             self._routes[key] = cached
             # a path is symmetric; cache the reverse too
             self._routes[(dst, src)] = list(reversed(cached))
         return cached
 
+    def route_ids(self, src: str, dst: str) -> np.ndarray:
+        if src == dst:
+            return _NO_LINKS
+        ids = self._tree_route(src, dst)
+        if ids is None:
+            return self.link_ids(GraphTopology.route(self, src, dst))
+        return np.array(ids, dtype=np.int64)
+
     def _tree_walks(self) -> Optional[_TreeWalks]:
-        """Per-host rows of :meth:`up_chains` as lists, plus the link keys
-        by id; None off trees.  Built once."""
+        """Per-host rows of :meth:`up_chains` as lists; None off trees.
+        Built once."""
         if self._walks is None:
             chains = self.up_chains()
             if chains is None:
                 return None
+            pad = len(self.link_table())
             self._walks = (
                 chains.ancestors.T.tolist(),
-                chains.link_ids.T.tolist(),
-                list(self.link_table()),
+                [
+                    row[: 1 + sum(i != pad for i in row)]
+                    for row in chains.link_ids.T.tolist()
+                ],
             )
         return self._walks
 
-    @staticmethod
-    def _tree_route(walks: _TreeWalks, a: int, b: int) -> List[LinkKey]:
-        """The unique tree path from host ``a`` to host ``b``: up ``a``'s
-        chain to the level below the two chains' meeting point, then down
-        ``b``'s."""
-        up, ids, keys = walks
+    def _tree_route(self, src: str, dst: str) -> Optional[List[int]]:
+        """Link ids of the unique tree path from host ``src`` to host
+        ``dst``: up ``src``'s chain to the level below the two chains'
+        meeting point, then down ``dst``'s.  None off trees or when an end
+        is not a host; the ends must differ."""
+        walks = self._tree_walks()
+        a = self._host_index.get(src)
+        b = self._host_index.get(dst)
+        if walks is None or a is None or b is None:
+            return None
+        up, ids = walks
         ua, ub = up[a], up[b]
         level = 1
         # two hosts' chains differ by the deeper one's own level at the
         # latest (past its level a column holds host-specific padding)
         while ua[level] == ub[level]:
             level += 1
-        pad = len(keys)
-        return [keys[i] for i in reversed(ids[a][level:]) if i != pad] + [
-            keys[i] for i in ids[b][level:] if i != pad
-        ]
+        return ids[a][: level - 1 : -1] + ids[b][level:]
 
     def link_capacity(self, link: LinkKey) -> float:
         u, v = link
@@ -362,7 +404,7 @@ class GraphTopology(Topology):
             tensor[:, :, hop] = parent_link[rows, cur]
             cur = parent[rows, cur]
         for a, b in zip(*np.nonzero(np.triu(npaths[:, starts] != 1, 1))):
-            ids = [lid[link] for link in self.route(hosts[a], hosts[b])]
+            ids = self.route_ids(hosts[a], hosts[b])
             tensor[a, b] = pad
             tensor[a, b, : len(ids)] = ids
             tensor[b, a] = tensor[a, b]

@@ -354,6 +354,52 @@ class TestCoherence:
             "JobCostModel.reduce_offer_costs",
         ]
 
+    KERNEL_NET = (
+        'KERNEL_WRITES = {"bump_counts": ("Net._count",)}\n'
+        "\n"
+        "class Net:\n"
+        "    def __init__(self):\n"
+        "        self._count = [0]\n"
+        "        self.epoch = 0\n"
+        "\n"
+        '    @cached_on("epoch", inputs=("Net._count",))\n'
+        "    def view(self):\n"
+        "        return tuple(self._count)\n"
+        "\n"
+        "    def start(self, kern):\n"
+        "        rc = kern.bump_counts(0)\n"
+        "        self.epoch += 1\n"
+        "        return rc\n"
+    )
+
+    def test_declared_kernel_call_is_a_write(self):
+        assert run_check(self.KERNEL_NET) == []
+        fs = run_check(self.KERNEL_NET.replace("        self.epoch += 1\n", ""))
+        assert [f.rule for f in fs] == ["cache-missing-bump"]
+        assert "Net._count in Net.start" in fs[0].message
+        # undeclared, the same call writes nothing the analyzer can see
+        undeclared = self.KERNEL_NET.replace("bump_counts", "other", 1)
+        assert run_check(undeclared.replace("        self.epoch += 1\n", "")) == []
+
+    def test_live_start_path_bump_is_checked(self):
+        """The fabric's one-call flow start writes the per-link flow counts
+        in C; without its ``epoch`` bump the analyzer reports exactly that
+        write."""
+        sources = []
+        for path in sorted((SRC / "repro").rglob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            if path.name == "network.py" and path.parent.name == "cluster":
+                bump = (
+                    "        self.epoch += 1"
+                    "  # the kernel counted the route's links\n"
+                )
+                assert text.count(bump) == 1
+                text = text.replace(bump, "")
+            sources.append((str(path), path.relative_to(SRC), text))
+        fs = check_sources(sources)
+        assert [f.rule for f in fs] == ["cache-missing-bump"]
+        assert "FlowNetwork._count in FlowNetwork._start_slot" in fs[0].message
+
 
 # ----------------------------------------------------------------------
 # RNG provenance

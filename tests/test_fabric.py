@@ -205,8 +205,13 @@ class TestNetworkDataPlane:
         net.set_link_down(fabric_link)
         topo = net.topology
         topo.mark_link_down(fabric_link)
-        new_route = topo.route_for_flow(flow.src, flow.dst, flow.fid)
-        assert fabric_link not in new_route
+        new_route = topo.route_ids_for_flow(flow.src, flow.dst, flow.fid)
+        assert topo.link_table()[fabric_link] not in new_route.tolist()
+        assert fabric_link not in topo.link_keys(new_route)
+        for bad in ([-1], [len(topo.link_table())]):
+            with pytest.raises(ValueError, match="leaves the link table"):
+                net.reroute_flow(flow, bad)
+        assert net.active_flows == 1  # a rejected route moves nothing
         assert net.reroute_flow(flow, new_route)
         net.note_route_change()
         sim.run(until=120.0)

@@ -65,7 +65,8 @@ def apply(net: FlowNetwork, live: list, op: tuple) -> None:
         flow = live[op[1] % len(live)]
         paths = TOPO.equal_cost_paths(flow.src, flow.dst)
         if paths:
-            net.reroute_flow(flow, paths[op[2] % len(paths)])
+            route = paths[op[2] % len(paths)]
+            net.reroute_flow(flow, net.topology.link_ids(route))
     elif kind == "factor":
         net.set_capacity_factor(LINKS[op[1] % len(LINKS)], op[2])
     elif kind == "down":
