@@ -34,8 +34,8 @@ _ROOT = "repro"
 #: Grounding: ``repro.obs`` imports nothing else from ``repro`` and the
 #: event loop reads its profiler; ``cluster.routing``/``telemetry`` emit
 #: trace events; ``core.scheduler`` subclasses ``schedulers.base`` while
-#: ``schedulers.simple``/``coupling``/``matching`` reuse ``core.cost``, so
-#: those two packages share a layer.
+#: ``schedulers.simple``/``coupling`` reuse ``core.cost``, so those two
+#: packages share a layer.
 IMPORT_LAYERS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("base", (
         "repro.accel", "repro.cache", "repro.coherence", "repro.lazy",

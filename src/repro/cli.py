@@ -256,8 +256,6 @@ def _trace_schedulers() -> Dict[str, Callable]:
         CouplingScheduler,
         FairScheduler,
         GreedyCostScheduler,
-        LARTSScheduler,
-        MatchingScheduler,
         RandomScheduler,
     )
 
@@ -265,8 +263,6 @@ def _trace_schedulers() -> Dict[str, Callable]:
         "pna": ProbabilisticNetworkAwareScheduler,
         "fair": FairScheduler,
         "coupling": CouplingScheduler,
-        "larts": LARTSScheduler,
-        "matching": MatchingScheduler,
         "random": RandomScheduler,
         "greedy": GreedyCostScheduler,
     }

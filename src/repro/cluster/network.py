@@ -367,6 +367,7 @@ class FlowNetwork:
             self._start_slot(flow)
         else:
             # the numpy reference of _start_slot's one kernel call
+            self._check_route_ids(flow.route_ids)
             self._register_route(flow.route_ids)
             self._settle_all()
             self._attach(flow)
@@ -403,6 +404,15 @@ class FlowNetwork:
             self._finite_caps += 1
         flow._slot = slot
 
+    def _check_route_ids(self, ids: np.ndarray) -> None:
+        """Raise ``ValueError`` unless every id indexes the link table.
+
+        numpy would count a negative id at the end of the table; the
+        kernel's ``state_start`` makes the same check itself.
+        """
+        if len(ids) and not (0 <= ids.min() and ids.max() < len(self._count)):
+            raise ValueError(f"route {ids.tolist()} leaves the link table")
+
     def _register_route(self, ids: np.ndarray) -> None:
         """Count a route's links as carrying one more flow.
 
@@ -433,11 +443,8 @@ class FlowNetwork:
         route_ids = np.asarray(route_ids, dtype=np.int64)
         if np.array_equal(route_ids, flow.route_ids):
             return False
-        if len(route_ids) and not (
-            0 <= route_ids.min() and route_ids.max() < len(self._count)
-        ):
-            # checked before the flow leaves its old links
-            raise ValueError(f"route {route_ids.tolist()} leaves the link table")
+        # checked before the flow leaves its old links
+        self._check_route_ids(route_ids)
         self._settle_all()
         if self._refill_deferred:
             # the remaining-byte snapshot below must integrate a fresh rate

@@ -71,7 +71,7 @@ def _enforces_no_colocation(scheduler: "TaskScheduler") -> bool:
     """Does the scheduler promise Algorithm 2's one-reducer-per-node rule?
 
     Schedulers declare it either as an ``avoid_reduce_colocation``
-    attribute (Greedy/Matching/Coupling) or on their ``config`` (PNA).
+    attribute (Greedy/Coupling) or on their ``config`` (PNA).
     """
     if getattr(scheduler, "avoid_reduce_colocation", False):
         return True

@@ -14,8 +14,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".coupling": ("CouplingScheduler",),
     ".fair": ("FairScheduler",),
     ".joblevel": ("FIFOJobScheduler", "FairJobScheduler", "JobLevelScheduler"),
-    ".larts": ("LARTSScheduler",),
-    ".matching": ("MatchingScheduler",),
     ".simple": ("GreedyCostScheduler", "RandomScheduler"),
     "repro.core.scheduler": ("PNAConfig", "ProbabilisticNetworkAwareScheduler"),
 })
@@ -28,8 +26,6 @@ __all__ = [
     "FairScheduler",
     "GreedyCostScheduler",
     "JobLevelScheduler",
-    "LARTSScheduler",
-    "MatchingScheduler",
     "PNAConfig",
     "ProbabilisticNetworkAwareScheduler",
     "RandomScheduler",

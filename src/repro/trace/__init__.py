@@ -51,7 +51,6 @@ from .events import (
     TaskFinish,
     TaskStart,
     TraceEvent,
-    UNMATCHED,
     as_dicts,
 )
 from .recorder import NullRecorder, TraceRecorder
@@ -105,7 +104,6 @@ __all__ = [
     "TaskStart",
     "TraceEvent",
     "TraceRecorder",
-    "UNMATCHED",
     "as_dicts",
     "ascii_timeline",
     "chrome_trace",

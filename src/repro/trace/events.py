@@ -24,12 +24,10 @@ The decline-reason vocabulary is shared with
     nothing placeable was pending.
 ``locality_wait``
     A delay-scheduling-style skip: the scheduler is holding out for a
-    better-placed slot (Fair's delay, LARTS/Coupling reduce waits).
+    better-placed slot (Fair's delay, Coupling reduce waits).
 ``coupling_gate``
     The Coupling Scheduler's gradual-launch gate: enough reducers are
     already running for the current map progress.
-``unmatched``
-    The matching scheduler's snapshot optimum left the offering node empty.
 ``node_dead``
     The offering node is dead or written off by tracker expiry — its slots
     cannot take work until it rejoins (fault-injection runs only).
@@ -107,7 +105,6 @@ COLOCATION_VETO = "colocation_veto"
 NO_CANDIDATE = "no_candidate"
 LOCALITY_WAIT = "locality_wait"
 COUPLING_GATE = "coupling_gate"
-UNMATCHED = "unmatched"
 NODE_DEAD = "node_dead"
 BLACKLISTED = "blacklisted"
 TRACKER_DOWN = "tracker_down"
@@ -120,7 +117,6 @@ DECLINE_REASONS = (
     NO_CANDIDATE,
     LOCALITY_WAIT,
     COUPLING_GATE,
-    UNMATCHED,
     NODE_DEAD,
     BLACKLISTED,
     TRACKER_DOWN,

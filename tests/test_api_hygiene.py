@@ -99,7 +99,6 @@ class TestPublicSurfaces:
             CouplingScheduler,
             FairScheduler,
             GreedyCostScheduler,
-            LARTSScheduler,
             RandomScheduler,
         )
 
@@ -108,7 +107,6 @@ class TestPublicSurfaces:
             CouplingScheduler().name,
             FairScheduler().name,
             GreedyCostScheduler.name,
-            LARTSScheduler().name,
             RandomScheduler.name,
         ]
         assert len(set(names)) == len(names)

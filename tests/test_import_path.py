@@ -5,10 +5,8 @@ can hide a regression: a smoke-sized PNA network-condition run on a tree,
 built through the public API, must leave networkx, scipy, the analysis
 package and every exporter unloaded.  So must a run on a link-state Clos
 fabric under a link and a switch failure, which re-routes flows and asks
-which hosts the down links cut off.  ``MatchingScheduler`` is the one user of scipy;
-it must load scipy on its first solve, not on import, and still give the
-same schedule.  The checks count modules, not seconds, so they hold on any
-host.
+which hosts the down links cut off.  The checks count modules, not
+seconds, so they hold on any host.
 """
 
 from __future__ import annotations
@@ -46,14 +44,12 @@ SCRIPT = textwrap.dedent(
 
 
     def run(scheduler):
-        result = Simulation(
+        Simulation(
             cluster=ClusterSpec(num_racks=2, nodes_per_rack=8),
             scheduler=scheduler,
             jobs=batched_workload(3, scale=0.05, stagger=5.0),
             seed=1,
         ).run()
-        c = result.collector
-        return [c.makespan(), [float(x) for x in c.job_completion_times()]]
 
 
     def loaded():
@@ -90,13 +86,6 @@ SCRIPT = textwrap.dedent(
     doc["loaded_after_pna"] = loaded()
     doc["fabric_convergences"] = run_faulted_fabric()
     doc["loaded_after_fabric"] = loaded()
-
-    from repro.schedulers import MatchingScheduler
-
-    scheduler = MatchingScheduler()
-    doc["scipy_before_solve"] = "scipy" in sys.modules
-    doc["matching"] = run(scheduler)
-    doc["scipy_after_solve"] = "scipy" in sys.modules
     print(json.dumps(doc))
     """
 )
@@ -121,13 +110,3 @@ def test_faulted_fabric_run_leaves_heavy_modules_unloaded(fresh_run):
     assert fresh_run["fabric_convergences"] >= 2
     assert fresh_run["loaded_after_fabric"] == []
 
-
-def test_matching_loads_scipy_on_first_solve(fresh_run):
-    assert not fresh_run["scipy_before_solve"]
-    assert fresh_run["scipy_after_solve"]
-
-
-def test_matching_run_result(fresh_run):
-    makespan, jct = fresh_run["matching"]
-    assert makespan == pytest.approx(44.782370, abs=1e-6)
-    assert jct == pytest.approx([23.334986, 36.037208, 34.782370], abs=1e-6)

@@ -23,12 +23,7 @@ from repro.experiments import get_scenario
 from repro.faults import NodeCrash, NodeDecommission, TaskFailures, TrackerCrash
 from repro.hdfs import DurabilityConfig
 from repro.metrics.collector import COUNTED
-from repro.schedulers import (
-    CouplingScheduler,
-    FairScheduler,
-    LARTSScheduler,
-    MatchingScheduler,
-)
+from repro.schedulers import CouplingScheduler, FairScheduler
 from repro.trace.events import NODE_LOST
 
 
@@ -123,8 +118,6 @@ def run_fault_free(factory):
         pytest.param(ProbabilisticNetworkAwareScheduler, id="pna"),
         pytest.param(FairScheduler, id="fair"),
         pytest.param(CouplingScheduler, id="coupling"),
-        pytest.param(LARTSScheduler, id="larts"),
-        pytest.param(MatchingScheduler, id="matching"),
     ],
 )
 def test_decline_split_matches_trace(faulted, factory):

@@ -18,12 +18,7 @@ import pytest
 from repro import ClusterSpec, Simulation, table2_batch
 from repro.core import ProbabilisticNetworkAwareScheduler
 from repro.engine import EngineConfig
-from repro.schedulers import (
-    CouplingScheduler,
-    FairScheduler,
-    LARTSScheduler,
-    MatchingScheduler,
-)
+from repro.schedulers import CouplingScheduler, FairScheduler
 from repro.trace import (
     DECLINE_REASONS,
     Decline,
@@ -43,8 +38,6 @@ SCHEDULERS = [
     pytest.param(ProbabilisticNetworkAwareScheduler, id="pna"),
     pytest.param(FairScheduler, id="fair"),
     pytest.param(CouplingScheduler, id="coupling"),
-    pytest.param(LARTSScheduler, id="larts"),
-    pytest.param(MatchingScheduler, id="matching"),
 ]
 
 
